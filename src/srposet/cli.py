@@ -15,7 +15,11 @@ import warnings
 
 from . import detsym as detsym_mod
 from .errors import CapExceededError, DegenerateQWarning, SRPosetError
-from .invariants import complex_report, krull_dim_stanley_reisner
+from .invariants import (
+    complex_report,
+    is_cohen_macaulay_complex,
+    krull_dim_stanley_reisner,
+)
 from .poset import (
     Poset,
     all_poset_ideals,
@@ -44,7 +48,6 @@ from .simplicial import (
     reduced_betti_numbers,
     reduced_euler_char_complex,
 )
-from .invariants import is_cohen_macaulay_complex
 
 SCHEMA_VERSION = 1
 
@@ -56,7 +59,8 @@ def _fields_from_args(args) -> list[FieldSpec]:
         try:
             fields.append(FieldSpec(c))
         except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     return fields
 
 
@@ -93,14 +97,12 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def cmd_check_poset(args) -> int:
-    p = _parse(poset_from_json, _read(args.file), "poset")
-    fields = _fields_from_args(args)
-    delta = order_complex(p)
-    per_field = []
+def _field_rows(k, fields: list[FieldSpec]) -> list[dict]:
+    """The per-field CM/Buchsbaum/depth rows of check-poset and check-complex."""
+    rows = []
     for f in fields:
-        rep = complex_report(delta, f)
-        per_field.append(
+        rep = complex_report(k, f)
+        rows.append(
             {
                 "char": f.characteristic,
                 "cm": rep["cm"],
@@ -108,13 +110,20 @@ def cmd_check_poset(args) -> int:
                 "depth": rep["depth"],
             }
         )
+    return rows
+
+
+def cmd_check_poset(args) -> int:
+    p = _parse(poset_from_json, _read(args.file), "poset")
+    fields = _fields_from_args(args)
+    delta = order_complex(p)
     report = {
         "schema_version": SCHEMA_VERSION,
         "elements": len(p),
         "pure": is_pure(p),
         "euler_char": reduced_euler_char_poset(p),
         "dim": krull_dim_stanley_reisner(delta),
-        "fields": per_field,
+        "fields": _field_rows(delta, fields),
     }
     _emit(report, args.json)
     return 0
@@ -123,24 +132,13 @@ def cmd_check_poset(args) -> int:
 def cmd_check_complex(args) -> int:
     k = _parse(complex_from_json, _read(args.file), "complex")
     fields = _fields_from_args(args)
-    per_field = []
-    for f in fields:
-        rep = complex_report(k, f)
-        per_field.append(
-            {
-                "char": f.characteristic,
-                "cm": rep["cm"],
-                "buchsbaum": rep["buchsbaum"],
-                "depth": rep["depth"],
-            }
-        )
     report = {
         "schema_version": SCHEMA_VERSION,
         "vertices": len(k.vertices),
         "equidimensional": is_equidimensional(k),
         "euler_char": reduced_euler_char_complex(k),
         "dim": krull_dim_stanley_reisner(k),
-        "fields": per_field,
+        "fields": _field_rows(k, fields),
     }
     _emit(report, args.json)
     return 0

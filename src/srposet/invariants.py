@@ -1,17 +1,18 @@
 """Ring-theoretic invariants of Stanley-Reisner rings, read off combinatorially.
 
-The Cohen-Macaulay, Buchsbaum and depth tests all reduce to the vanishing
-pattern of reduced homology of links.  Two exact observations keep the loops
-desk-scale:
+One loop over links serves depth, Cohen-Macaulay and Buchsbaum: depth is
+the least |s| + 1 + jmin(lk s) over the faces s, Cohen-Macaulay is read off
+as depth = dim, and Buchsbaum as the same loop over the nonempty faces of an
+equidimensional complex reaching dim.  Exact reductions keep it desk-scale:
 
-* only faces that are intersections of facets can carry nonvanishing link
-  homology (for any other face the link is a cone), so the loops run over
-  the intersection-closure of the facet family;
+* cone points (vertices in every facet) each add one and are stripped;
+* only intersections of facets can carry nonvanishing link homology (any
+  other link is a cone); they are visited smallest first, until no face
+  can lower the value further;
 * dominated-vertex deletion (strong collapse) is a deformation retract, so
   each link is collapsed before any boundary matrix is built.
 
-Both reductions preserve the computed values exactly; no approximation is
-involved anywhere.
+No approximation is involved anywhere.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .simplicial import (
     SimplicialComplex,
     _closed_faces,
     _jmin,
+    _link_facets,
     _minimalize_facets,
     is_equidimensional,
     reduced_betti_numbers,
@@ -34,37 +36,19 @@ def krull_dim_stanley_reisner(k: SimplicialComplex) -> int:
     return max(f.bit_count() for f in k.facets)
 
 
-def _link_facets(facets: tuple[int, ...], sigma: int) -> tuple[int, ...]:
-    return _minimalize_facets([f & ~sigma for f in facets if f & sigma == sigma])
-
-
 def is_cohen_macaulay_complex(k: SimplicialComplex, field: FieldSpec) -> bool:
-    """Reisner's criterion: every link has homology only in its top degree."""
-    char = field.characteristic
-    for sigma in _closed_faces(k.facets):
-        lf = _link_facets(k.facets, sigma)
-        dim_link = max(f.bit_count() for f in lf) - 1
-        j = _jmin(lf, char)
-        if j is not None and j < dim_link:
-            return False
-    return True
+    """Reisner's criterion (every link has homology only in its top degree),
+    read as depth = dim."""
+    return _depth_masks(k.facets, field.characteristic) == krull_dim_stanley_reisner(k)
 
 
 def is_buchsbaum_complex(k: SimplicialComplex, field: FieldSpec) -> bool:
-    """Equidimensional with Cohen-Macaulay links of all nonempty faces."""
-    if not is_equidimensional(k):
-        return False
-    char = field.characteristic
-    # vertices first: cheapest failures, and links of larger faces are
-    # links inside vertex links
-    closed = [s for s in _closed_faces(k.facets) if s]
-    for sigma in sorted(closed, key=lambda m: m.bit_count()):
-        lf = _link_facets(k.facets, sigma)
-        dim_link = max(f.bit_count() for f in lf) - 1
-        j = _jmin(lf, char)
-        if j is not None and j < dim_link:
-            return False
-    return True
+    """Equidimensional with Cohen-Macaulay links of all nonempty faces: the
+    depth loop over the nonempty faces alone reaches dim."""
+    dim = krull_dim_stanley_reisner(k)
+    return is_equidimensional(k) and _link_depth(
+        k.facets, field.characteristic, dim, nonempty=True
+    ) == dim
 
 
 def depth_stanley_reisner(k: SimplicialComplex, field: FieldSpec) -> int:
@@ -90,18 +74,26 @@ def _depth_masks(facets: tuple[int, ...], char: int) -> int:
         facets = _minimalize_facets([f & ~common for f in facets])
     if facets == (0,):
         return cones
-    best = min(f.bit_count() for f in facets)
+    return cones + _link_depth(facets, char, min(f.bit_count() for f in facets))
+
+
+def _link_depth(
+    facets: tuple[int, ...], char: int, bound: int, nonempty: bool = False
+) -> int:
+    """min(bound, |s| + 1 + jmin(lk s)) over the closed faces s that are not
+    facets, and only the nonempty ones if asked.  A facet's link {emptyset}
+    gives |s|, which the callers' bound already covers."""
     facet_set = set(facets)
     for sigma in _closed_faces(facets):
         size = sigma.bit_count()
-        if size + 1 >= best:
+        if size + 1 >= bound:
             break  # closed faces come sorted by size; no smaller value left
-        if sigma in facet_set:
+        if sigma in facet_set or (nonempty and not sigma):
             continue
         j = _jmin(_link_facets(facets, sigma), char)
         if j is not None:
-            best = min(best, size + 1 + j)
-    return cones + best
+            bound = min(bound, size + 1 + j)
+    return bound
 
 
 def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
@@ -141,14 +133,12 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
 def complex_report(k: SimplicialComplex, field: FieldSpec) -> dict:
     """Summary report of the face-ring invariants over one field."""
     dim = krull_dim_stanley_reisner(k)
-    if k.facets == (0,):
-        depth = 0
-    else:
-        depth = depth_stanley_reisner(k, field)
+    depth = 0 if k.facets == (0,) else depth_stanley_reisner(k, field)
+    cm = depth == dim
     return {
         "dim": dim,
         "depth": depth,
-        "cm": is_cohen_macaulay_complex(k, field),
-        "buchsbaum": is_buchsbaum_complex(k, field),
+        "cm": cm,
+        "buchsbaum": cm or is_buchsbaum_complex(k, field),
         "field": {"char": field.characteristic},
     }

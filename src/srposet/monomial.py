@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotSquarefreeError, UnitIdealError
 from .poset import Poset
-from .simplicial import SimplicialComplex, FieldSpec, _minimalize_facets
+from .simplicial import SimplicialComplex, FieldSpec, _json_list, _minimalize_facets
 from .invariants import depth_stanley_reisner, krull_dim_stanley_reisner
 
 
@@ -332,14 +332,16 @@ def ideal_from_json(text: str) -> MonomialIdeal:
     data = json.loads(text)
     if not isinstance(data, dict) or "variables" not in data:
         raise ValueError("ideal JSON must have 'variables' and 'generators' keys")
-    variables = tuple(data["variables"])
+    variables = tuple(_json_list(data["variables"], "'variables'"))
     index = {v: i for i, v in enumerate(variables)}
     gens = []
-    for entry in data.get("generators", []):
+    for entry in _json_list(data.get("generators", []), "'generators'", dict):
         e = [0] * len(variables)
         for v, k in entry.items():
             if v not in index:
                 raise ValueError(f"unknown variable {v!r} in generator")
-            e[index[v]] = int(k)
+            if not isinstance(k, int):
+                raise ValueError(f"exponent of {v!r} must be an integer")
+            e[index[v]] = k
         gens.append(tuple(e))
     return ideal_from_generators(variables, gens)

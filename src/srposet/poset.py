@@ -18,7 +18,7 @@ from .errors import (
     NotComparableError,
     UnknownLabelError,
 )
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _bits, _json_list
 
 STAR = "*"
 
@@ -105,23 +105,27 @@ class Poset:
 
     def cover_pairs_idx(self) -> list[tuple[int, int]]:
         """Hasse diagram as (lower, upper) index pairs."""
-        cols = self.down_masks()
         out = []
         for i, row in enumerate(self.lt):
+            # j above i is a cover unless it lies above something above i
+            reach = 0
             m = row
             while m:
                 j = (m & -m).bit_length() - 1
-                if not (row & cols[j]):
-                    out.append((i, j))
+                reach |= self.lt[j]
+                m &= m - 1
+            m = row & ~reach
+            while m:
+                j = (m & -m).bit_length() - 1
+                out.append((i, j))
                 m &= m - 1
         return out
 
     def minimal_idx(self) -> list[int]:
-        cols = self.down_masks()
-        return [i for i in range(len(self.elements)) if not cols[i]]
-
-    def maximal_idx(self) -> list[int]:
-        return [i for i in range(len(self.elements)) if not self.lt[i]]
+        above = 0
+        for row in self.lt:
+            above |= row
+        return [i for i in range(len(self.elements)) if not (above >> i) & 1]
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet on the given labels (kept in this poset's order)."""
@@ -200,26 +204,18 @@ def poset_from_cover_relations(
 def is_pure(p: Poset) -> bool:
     """True iff all maximal chains of p have the same cardinality."""
     n = len(p)
-    if n == 0:
-        return True
     above = [[] for _ in range(n)]
     for i, j in p.cover_pairs_idx():
         above[i].append(j)
-    lengths: dict[int, frozenset[int]] = {}
-
-    def up_lengths(x: int) -> frozenset[int]:
-        got = lengths.get(x)
-        if got is None:
-            if not above[x]:
-                got = frozenset([1])
-            else:
-                got = frozenset(1 + l for y in above[x] for l in up_lengths(y))
-            lengths[x] = got
-        return got
-
+    # lengths of the maximal chains from each element, computed top down:
+    # an element has fewer elements above it than anything below it
+    lengths = [frozenset([1])] * n
+    for x in sorted(range(n), key=lambda i: p.lt[i].bit_count()):
+        if above[x]:
+            lengths[x] = frozenset(1 + l for y in above[x] for l in lengths[y])
     seen: set[int] = set()
     for x in p.minimal_idx():
-        seen |= up_lengths(x)
+        seen |= lengths[x]
         if len(seen) > 1:
             return False
     return True
@@ -353,12 +349,6 @@ def opposite(p: Poset) -> Poset:
     return Poset(p.elements, p.down_masks())
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 # ----------------------------------------------------------------------
 # JSON round trips: {"elements": [...], "covers": [[a, b], ...]} and
 # {"ideal": [...]}.
@@ -374,15 +364,18 @@ def poset_from_json(text: str) -> Poset:
     data = json.loads(text)
     if not isinstance(data, dict) or "elements" not in data:
         raise ValueError("poset JSON must be an object with an 'elements' key")
-    covers = [tuple(pair) for pair in data.get("covers", [])]
-    return poset_from_cover_relations(data["elements"], covers)
+    covers = _json_list(data.get("covers", []), "'covers'", list)
+    return poset_from_cover_relations(
+        _json_list(data["elements"], "'elements'"),
+        [tuple(_json_list(pair, "each cover")) for pair in covers],
+    )
 
 
 def ideal_from_json(text: str) -> list[str]:
     data = json.loads(text)
     if not isinstance(data, dict) or "ideal" not in data:
         raise ValueError("ideal JSON must be an object with an 'ideal' key")
-    return list(data["ideal"])
+    return list(_json_list(data["ideal"], "'ideal'"))
 
 
 # ----------------------------------------------------------------------

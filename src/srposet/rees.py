@@ -23,14 +23,13 @@ from .errors import DegenerateQWarning, EmptyQError, NotAnIdealError
 from .invariants import is_cohen_macaulay_complex
 from .poset import (
     Poset,
-    _bits,
     _subset_mask,
     euler_char_restricted,
     is_poset_ideal,
     order_complex,
     uplus,
 )
-from .simplicial import FieldSpec
+from .simplicial import FieldSpec, _bits
 
 
 class IntPolynomial:

@@ -14,7 +14,7 @@ cohomology dimensions coincide, and that is what BettiVector reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 import json
 
 from ._exact import rank_char0, rank_mod2, rank_modp
@@ -90,12 +90,6 @@ class SimplicialComplex:
         mask = self.face_mask(face)
         return any(mask & f == mask for f in self.facets)
 
-    def num_faces(self) -> int:
-        total = 0
-        for faces in _faces_by_card(self.facets):
-            total += len(faces)
-        return total
-
 
 def complex_from_facets(
     vertices: Sequence[str], facets: Iterable[Iterable[str]]
@@ -127,9 +121,7 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
         raise NotAFaceError(f"{sorted(face)} is not a face")
     if mask == 0:
         return k
-    link_facets = _minimalize_facets(
-        [f & ~mask for f in k.facets if f & mask == mask]
-    )
+    link_facets = _link_facets(k.facets, mask)
     keep = [i for i in range(len(k.vertices)) if not (mask >> i) & 1]
     pos = {g: kk for kk, g in enumerate(keep)}
     remapped = tuple(
@@ -195,7 +187,12 @@ def _minimalize_facets(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _bits(mask: int):
+def _link_facets(facets: tuple[int, ...], sigma: int) -> tuple[int, ...]:
+    """Facets of the link of the face sigma, on the same vertex bits."""
+    return _minimalize_facets([f & ~sigma for f in facets if f & sigma == sigma])
+
+
+def _bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
@@ -363,8 +360,20 @@ def complex_to_json(k: SimplicialComplex) -> str:
     )
 
 
+def _json_list(value, what: str, item: type = str) -> list:
+    """A JSON value that must be a list of items (labels by default)."""
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        kind = {str: "strings", list: "lists", dict: "objects"}[item]
+        raise ValueError(f"{what} must be a list of {kind}")
+    return value
+
+
 def complex_from_json(text: str) -> SimplicialComplex:
     data = json.loads(text)
     if not isinstance(data, dict) or "vertices" not in data or "facets" not in data:
         raise ValueError("complex JSON must have 'vertices' and 'facets' keys")
-    return complex_from_facets(data["vertices"], data["facets"])
+    facets = _json_list(data["facets"], "'facets'", list)
+    return complex_from_facets(
+        _json_list(data["vertices"], "'vertices'"),
+        [_json_list(f, "each facet") for f in facets],
+    )

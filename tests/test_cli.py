@@ -72,6 +72,25 @@ class TestCheckPoset:
         assert code == 0
         assert [f["char"] for f in rep["fields"]] == [3]
 
+    def test_bad_char_exits_2(self, capsys, chain_file):
+        with pytest.raises(SystemExit) as err:
+            main(["check-poset", chain_file, "--char", "4"])
+        assert err.value.code == 2
+        assert "characteristic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"elements": "abc"},
+        {"elements": [1, 2]},
+        {"elements": ["a", "b"], "covers": [5]},
+    ])
+    def test_non_string_labels_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as err:
+            main(["check-poset", str(path)])
+        assert err.value.code == 2
+        assert "must be a list of" in capsys.readouterr().err
+
     def test_text_output_deterministic(self, capsys, chain_file):
         main(["check-poset", chain_file])
         first = capsys.readouterr().out
@@ -100,6 +119,19 @@ class TestCheckComplexAndHomology:
         assert code == 0
         for f in rep["fields"]:
             assert f["betti"]["1"] == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": "abc", "facets": [["a"]]},
+        {"vertices": ["a"], "facets": "a"},
+        {"vertices": ["a"], "facets": [[1]]},
+    ])
+    def test_non_string_labels_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as err:
+            main(["check-complex", str(path)])
+        assert err.value.code == 2
+        assert "error: bad complex" in capsys.readouterr().err
 
     def test_unknown_vertex_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -142,6 +174,13 @@ class TestUplus:
     def test_not_an_ideal_exits_2(self, capsys, tmp_path, chain_file):
         code = main(["uplus", chain_file, ideal_file(tmp_path, ["b"]), "--json"])
         assert code == 2
+
+    @pytest.mark.parametrize("labels", [[1], "a"])
+    def test_non_string_ideal_exits_2(self, capsys, tmp_path, chain_file, labels):
+        with pytest.raises(SystemExit) as err:
+            main(["uplus", chain_file, ideal_file(tmp_path, labels), "--json"])
+        assert err.value.code == 2
+        assert "must be a list of" in capsys.readouterr().err
 
     def test_unknown_label_exits_2(self, capsys, tmp_path, chain_file):
         code = main(["uplus", chain_file, ideal_file(tmp_path, ["zz"]), "--json"])

@@ -19,6 +19,8 @@ from srposet import (
     is_cohen_macaulay_complex,
     is_equidimensional,
     link,
+    order_complex,
+    random_poset,
     reduced_betti_numbers,
 )
 from srposet.simplicial import _strong_collapse, _betti_masks, _compact_key
@@ -104,6 +106,35 @@ def test_buchsbaum_matches_naive_all_faces_loop():
     rng = random.Random(4)
     for _ in range(60):
         k = random_complex(rng, rng.randint(1, 7))
+        for field in (QQ, GF2):
+            assert is_buchsbaum_complex(k, field) == naive_is_buchsbaum(k, field), k
+
+
+def random_order_complexes(seed, count=40):
+    # order complexes of posets with a unique minimum or maximum are cones,
+    # which the depth loop strips before visiting any link
+    rng = random.Random(seed)
+    labels = "abcdef"
+    return [
+        order_complex(random_poset(rng, labels[: rng.randint(5, 6)]))
+        for _ in range(count)
+    ]
+
+
+def test_depth_matches_naive_on_order_complexes():
+    for k in random_order_complexes(6):
+        for field in (QQ, GF2):
+            assert depth_stanley_reisner(k, field) == naive_depth(k, field), k
+
+
+def test_cm_matches_naive_on_order_complexes():
+    for k in random_order_complexes(7):
+        for field in (QQ, GF2):
+            assert is_cohen_macaulay_complex(k, field) == naive_is_cm(k, field), k
+
+
+def test_buchsbaum_matches_naive_on_order_complexes():
+    for k in random_order_complexes(8):
         for field in (QQ, GF2):
             assert is_buchsbaum_complex(k, field) == naive_is_buchsbaum(k, field), k
 

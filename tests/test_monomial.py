@@ -297,3 +297,13 @@ class TestJson:
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
             monomial_ideal_from_json('{"variables": ["x"], "generators": [{"y": 1}]}')
+
+    @pytest.mark.parametrize("text", [
+        '{"variables": "xy", "generators": []}',
+        '{"variables": [1, 2], "generators": []}',
+        '{"variables": ["x"], "generators": [5]}',
+        '{"variables": ["x"], "generators": [{"x": null}]}',
+    ])
+    def test_wrong_json_types_rejected(self, text):
+        with pytest.raises(ValueError):
+            monomial_ideal_from_json(text)

@@ -95,6 +95,12 @@ class TestPurity:
     def test_diamond_pure(self):
         assert is_pure(DIAMOND)
 
+    def test_long_chain_no_recursion_limit(self):
+        n = 3000
+        full = (1 << n) - 1
+        rows = tuple(full & ~((1 << (i + 1)) - 1) for i in range(n))
+        assert is_pure(Poset(tuple(f"e{i}" for i in range(n)), rows))
+
     @given(small_posets())
     @settings(max_examples=60, deadline=None)
     def test_matches_maximal_chain_enumeration(self, p):
