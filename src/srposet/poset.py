@@ -365,10 +365,11 @@ def poset_from_json(text: str) -> Poset:
     if not isinstance(data, dict) or "elements" not in data:
         raise ValueError("poset JSON must be an object with an 'elements' key")
     covers = _json_list(data.get("covers", []), "'covers'", list)
-    return poset_from_cover_relations(
-        _json_list(data["elements"], "'elements'"),
-        [tuple(_json_list(pair, "each cover")) for pair in covers],
-    )
+    elements = _json_list(data["elements"], "'elements'")
+    pairs = [tuple(_json_list(pair, "each cover")) for pair in covers]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("each cover must be a pair of labels")
+    return poset_from_cover_relations(elements, pairs)
 
 
 def ideal_from_json(text: str) -> list[str]:

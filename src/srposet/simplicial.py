@@ -21,14 +21,34 @@ from ._exact import rank_char0, rank_mod2, rank_modp
 from .errors import NotAFaceError, UnknownVertexError
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017); larger characteristics are rejected, not guessed.
+_PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality test for n < _PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -40,6 +60,8 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c >= _PRIME_BOUND:
+            raise ValueError(f"characteristic must be below {_PRIME_BOUND}, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 
@@ -188,8 +210,14 @@ def _minimalize_facets(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _link_facets(facets: tuple[int, ...], sigma: int) -> tuple[int, ...]:
-    """Facets of the link of the face sigma, on the same vertex bits."""
-    return _minimalize_facets([f & ~sigma for f in facets if f & sigma == sigma])
+    """Facets of the link of the face sigma, on the same vertex bits, in the
+    order of `facets`.
+
+    `facets` must be an inclusion-antichain.  Then so is the result: for
+    facets f, g containing sigma, f - sigma inside g - sigma forces f inside
+    g, so nothing needs minimalizing.
+    """
+    return tuple([f & ~sigma for f in facets if f & sigma == sigma])
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -293,32 +321,48 @@ def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:
 
 
 def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """Delete dominated vertices until none remain.
+    """Delete dominated vertices until none remain; returns sorted facets.
 
     A vertex v is dominated when some other vertex lies in every facet
     containing v; deleting it is a deformation retract, so all reduced
-    homology is preserved.
+    homology is preserved.  The core is unique up to isomorphism (Barmak and
+    Minian, "Strong homotopy types, nerves and collapses", 2012).
+
+    Worklist form, for an antichain of facets: each vertex is tested once,
+    and again only after a vertex of its star was deleted, since deleting v
+    changes no other vertex's facets.  Deleting v keeps the facets without v
+    and adds f - v for each facet f containing v unless a kept facet covers
+    it; these new faces need no check among themselves, because f - v inside
+    g - v forces f inside g.
     """
     current = list(facets)
-    changed = True
-    while changed:
-        changed = False
-        used = 0
+    todo = 0
+    for f in current:
+        todo |= f
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        inter = ~0
         for f in current:
-            used |= f
-        for v in _bits(used):
-            bit = 1 << v
-            inter = ~0
-            for f in current:
-                if f & bit:
-                    inter &= f
-            if inter & ~bit:
-                current = list(_minimalize_facets(
-                    [f & ~bit for f in current]
-                ))
-                changed = True
-                break
-    return tuple(current)
+            if f & bit:
+                inter &= f
+        if inter == bit:
+            continue  # no other vertex lies in every facet containing v
+        kept = [f for f in current if not f & bit]
+        star = 0
+        added = []
+        for f in current:
+            if f & bit:
+                star |= f
+                g = f ^ bit
+                for h in kept:
+                    if g & h == g:
+                        break
+                else:
+                    added.append(g)
+        current = kept + added
+        todo |= star ^ bit
+    return tuple(sorted(current))
 
 
 def _jmin(facets: tuple[int, ...], char: int) -> int | None:

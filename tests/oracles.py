@@ -194,3 +194,43 @@ def betti_via_snf(k, char: int) -> dict[int, int]:
         upper = ranks[card + 1] if card + 1 <= maxc else 0
         betti[card - 1] = by_card.get(card, 0) - ranks[card] - upper
     return betti
+
+
+def _minimalize(masks) -> tuple[int, ...]:
+    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
+    out: list[int] = []
+    for m in uniq:
+        if not any(m & f == m for f in out):
+            out.append(m)
+    return tuple(sorted(out))
+
+
+def restart_strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """Strong collapse by restarting the scan after every deletion.
+
+    Scans the used vertices from the lowest bit; on the first dominated
+    vertex (another vertex lies in every facet containing it) it deletes the
+    vertex from every facet, re-minimalizes all facets and starts over.
+    Slow, but plainly correct; the library's worklist collapse is compared
+    against it.
+    """
+    current = list(facets)
+    changed = True
+    while changed:
+        changed = False
+        used = 0
+        for f in current:
+            used |= f
+        for v in range(used.bit_length()):
+            bit = 1 << v
+            if not used & bit:
+                continue
+            inter = ~0
+            for f in current:
+                if f & bit:
+                    inter &= f
+            if inter & ~bit:
+                current = list(_minimalize([f & ~bit for f in current]))
+                changed = True
+                break
+    return tuple(current)

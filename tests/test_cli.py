@@ -91,6 +91,30 @@ class TestCheckPoset:
         assert err.value.code == 2
         assert "must be a list of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cover", [["a", "b", "a"], ["a"], []])
+    def test_wrong_length_cover_exits_2(self, tmp_path, capsys, cover):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "covers": [cover]}))
+        with pytest.raises(SystemExit) as err:
+            main(["check-poset", str(path)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: bad poset: each cover must be a pair of labels\n"
+        )
+
+    def test_19_digit_prime_char(self, capsys, chain_file):
+        code, rep = run_json(
+            capsys, ["check-poset", chain_file, "--json", "--char", "1000000000000000003"]
+        )
+        assert code == 0
+        assert [f["char"] for f in rep["fields"]] == [1000000000000000003]
+
+    def test_char_above_prime_bound_exits_2(self, capsys, chain_file):
+        with pytest.raises(SystemExit) as err:
+            main(["check-poset", chain_file, "--char", "3317044064679887385961981"])
+        assert err.value.code == 2
+        assert "characteristic must be below" in capsys.readouterr().err
+
     def test_text_output_deterministic(self, capsys, chain_file):
         main(["check-poset", chain_file])
         first = capsys.readouterr().out

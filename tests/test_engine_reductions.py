@@ -23,7 +23,17 @@ from srposet import (
     random_poset,
     reduced_betti_numbers,
 )
-from srposet.simplicial import _strong_collapse, _betti_masks, _compact_key
+from srposet.detsym import _polarized_complex
+from srposet.simplicial import (
+    _betti_masks,
+    _closed_faces,
+    _compact_key,
+    _link_facets,
+    _minimalize_facets,
+    _strong_collapse,
+)
+
+from oracles import restart_strong_collapse
 
 
 def all_faces(k):
@@ -149,3 +159,48 @@ def test_strong_collapse_preserves_betti_numbers():
             collapsed = _betti_masks(_compact_key(core), char)
             padded = collapsed + (0,) * (len(raw) - len(collapsed))
             assert padded == raw, (k, char)
+
+
+def random_antichain(rng, max_vertices=10):
+    n = rng.randint(1, max_vertices)
+    return _minimalize_facets(
+        [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
+    )
+
+
+def _shape(facets):
+    used = 0
+    for f in facets:
+        used |= f
+    return used.bit_count(), sorted(f.bit_count() for f in facets)
+
+
+def test_strong_collapse_matches_restart_oracle():
+    # the core is unique up to isomorphism: same homology, same vertex count
+    # and facet sizes as the restart-scan collapse, and nothing left to delete
+    rng = random.Random(11)
+    for _ in range(2000):
+        facets = random_antichain(rng)
+        core = _strong_collapse(facets)
+        expected = restart_strong_collapse(facets)
+        assert _shape(core) == _shape(expected), facets
+        assert _strong_collapse(core) == core, facets
+        for char in (0, 2, 3):
+            got = _betti_masks(_compact_key(core), char)
+            want = _betti_masks(_compact_key(expected), char)
+            width = max(len(got), len(want))
+            assert (got + (0,) * (width - len(got))
+                    == want + (0,) * (width - len(want))), (facets, char)
+
+
+def test_link_facets_need_no_minimalizing_on_antichains():
+    rng = random.Random(12)
+    complexes = [random_antichain(rng) for _ in range(300)]
+    complexes += [_polarized_complex(n)[0].facets for n in (3, 4, 5)]
+    for facets in complexes:
+        for sigma in _closed_faces(facets):
+            got = tuple(sorted(_link_facets(facets, sigma)))
+            want = _minimalize_facets(
+                [f & ~sigma for f in facets if f & sigma == sigma]
+            )
+            assert got == want, (facets, sigma)

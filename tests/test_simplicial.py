@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,8 @@ from srposet import (
     reduced_betti_numbers,
     reduced_euler_char_complex,
 )
+
+from srposet.simplicial import _is_prime
 
 from oracles import betti_via_snf, brute_euler_complex, rank_fraction
 
@@ -186,6 +189,28 @@ class TestFieldSpec:
     @pytest.mark.parametrize("bad", [1, 4, 6, -2, 9])
     def test_nonprime_rejected(self, bad):
         with pytest.raises(ValueError):
+            FieldSpec(bad)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def naive(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert all(_is_prime(n) == naive(n) for n in range(-3, 20000))
+
+    def test_19_digit_prime_accepted_quickly(self):
+        start = time.process_time()
+        assert FieldSpec(1000000000000000003).characteristic == 1000000000000000003
+        assert time.process_time() - start < 1.0
+
+    @pytest.mark.parametrize("bad", [
+        561, 41041, 825265,  # Carmichael numbers
+        3825123056546413051,  # strong pseudoprime to the first nine prime bases
+        318665857834031151167461,  # ... and to the first twelve
+    ])
+    def test_pseudoprimes_rejected(self, bad):
+        with pytest.raises(ValueError, match="0 or a prime"):
             FieldSpec(bad)
 
 
