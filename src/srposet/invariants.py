@@ -10,22 +10,33 @@ equidimensional complex reaching dim.  Exact reductions keep it desk-scale:
   other link is a cone); they are visited smallest first, until no face
   can lower the value further;
 * dominated-vertex deletion (strong collapse) is a deformation retract, so
-  each link is collapsed before any boundary matrix is built.
+  each link is collapsed before any boundary matrix is built;
+* the collapse does not depend on the field, so the link cores are
+  computed once per complex (facets compacted, so equal complexes on other
+  vertex labels count as one) and shared by every field, by depth, CM and
+  Buchsbaum, and by a monomial ideal and its core, whose polarized
+  complexes differ only by cone points.  Cores that are a single point are
+  acyclic over every field and are not kept.
 
 No approximation is involved anywhere.
 """
 
 from __future__ import annotations
 
+from copy import copy
+from functools import lru_cache
+from itertools import tee
+
 from .errors import EmptyComplexError
 from .poset import NEG_INF, POS_INF, Poset, open_interval, order_complex
 from .simplicial import (
     FieldSpec,
     SimplicialComplex,
+    _betti_masks,
     _closed_faces,
-    _jmin,
+    _compact_key,
     _link_facets,
-    _minimalize_facets,
+    _strong_collapse,
     is_equidimensional,
     reduced_betti_numbers,
 )
@@ -47,7 +58,7 @@ def is_buchsbaum_complex(k: SimplicialComplex, field: FieldSpec) -> bool:
     depth loop over the nonempty faces alone reaches dim."""
     dim = krull_dim_stanley_reisner(k)
     return is_equidimensional(k) and _link_depth(
-        k.facets, field.characteristic, dim, nonempty=True
+        _compact_key(k.facets), field.characteristic, dim, nonempty=True
     ) == dim
 
 
@@ -70,8 +81,7 @@ def _depth_masks(facets: tuple[int, ...], char: int) -> int:
     for f in facets:
         common &= f
     cones = common.bit_count()
-    if cones:
-        facets = _minimalize_facets([f & ~common for f in facets])
+    facets = _compact_key([f & ~common for f in facets])
     if facets == (0,):
         return cones
     return cones + _link_depth(facets, char, min(f.bit_count() for f in facets))
@@ -82,18 +92,61 @@ def _link_depth(
 ) -> int:
     """min(bound, |s| + 1 + jmin(lk s)) over the closed faces s that are not
     facets, and only the nonempty ones if asked.  A facet's link {emptyset}
-    gives |s|, which the callers' bound already covers."""
+    gives |s|, which the callers' bound already covers.  `facets` keys the
+    shared scan, so callers pass them compacted."""
+    cores = _link_cores(facets)
+    try:
+        for size, core in copy(cores):
+            if core is not None and not (nonempty and size == 0):
+                for d, b in enumerate(_betti_masks(core, char)):
+                    if b:  # reduced homology in degree d - 1
+                        bound = min(bound, size + d)
+                        break
+            # sizes never decrease, and each size opens with a marker, so
+            # this stops before any link of no use is collapsed
+            if size + 1 >= bound:
+                break
+    except BaseException:
+        # an exception inside the scan ends its generator; the cached entry
+        # would then replay the part computed so far as if it were complete
+        _link_cores.cache_clear()
+        raise
+    return bound
+
+
+@lru_cache(maxsize=8)
+def _link_cores(facets: tuple[int, ...]):
+    """The field-independent half of `_link_depth`, computed lazily and at
+    most once per facet antichain.  Callers iterate over a `copy` of the
+    returned iterator: it replays what earlier calls computed and extends
+    it on demand.
+
+    Yields (size, None) as each size of closed face begins, so that a
+    caller can stop before any link of that size is collapsed; then
+    (|s|, core) for each closed face s of that size that is not a facet,
+    where core is the compacted strong collapse of lk s.  Cores that are a
+    single point are acyclic over every field and are not yielded.
+
+    Bounded, because the complexes worth keeping are the few a caller
+    revisits at once (the fields of one complex, depth then Buchsbaum, an
+    ideal and its core), while a sweep passes through tens of thousands.
+    """
+    return tee(_scan_link_cores(facets), 1)[0]
+
+
+def _scan_link_cores(facets: tuple[int, ...]):
     facet_set = set(facets)
+    last = -1
     for sigma in _closed_faces(facets):
         size = sigma.bit_count()
-        if size + 1 >= bound:
-            break  # closed faces come sorted by size; no smaller value left
-        if sigma in facet_set or (nonempty and not sigma):
+        if size != last:
+            last = size
+            yield size, None
+        if sigma in facet_set:
             continue
-        j = _jmin(_link_facets(facets, sigma), char)
-        if j is not None:
-            bound = min(bound, size + 1 + j)
-    return bound
+        core = _strong_collapse(_link_facets(facets, sigma))
+        if len(core) > 1:  # a core with one facet is a single point
+            yield size, _compact_key(core)
 
 
 def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:

@@ -365,20 +365,6 @@ def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(current))
 
 
-def _jmin(facets: tuple[int, ...], char: int) -> int | None:
-    """Smallest degree with nonzero reduced homology, or None if acyclic."""
-    core = _strong_collapse(facets)
-    if core == (0,):
-        return -1
-    if len(core) == 1 and core[0].bit_count() == 1:
-        return None
-    betti = _betti_masks(_compact_key(core), char)
-    for d, b in enumerate(betti):
-        if b:
-            return d - 1
-    return None
-
-
 def _closed_faces(facets: Sequence[int]) -> list[int]:
     """All intersections of nonempty sets of facets (the facets included)."""
     closed = set(facets)

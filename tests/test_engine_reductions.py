@@ -10,9 +10,12 @@ restriction) and require equality on random complexes.
 import random
 from itertools import combinations
 
+import pytest
+
 from srposet import (
     GF2,
     QQ,
+    SimplicialComplex,
     complex_from_facets,
     depth_stanley_reisner,
     is_buchsbaum_complex,
@@ -23,7 +26,9 @@ from srposet import (
     random_poset,
     reduced_betti_numbers,
 )
-from srposet.detsym import _polarized_complex
+from srposet import invariants
+from srposet.detsym import _polarized_complex, _section3_fixed
+from srposet.invariants import _link_cores
 from srposet.simplicial import (
     _betti_masks,
     _closed_faces,
@@ -204,3 +209,94 @@ def test_link_facets_need_no_minimalizing_on_antichains():
                 [f & ~sigma for f in facets if f & sigma == sigma]
             )
             assert got == want, (facets, sigma)
+
+
+def _complex_of(facets):
+    used = 0
+    for f in facets:
+        used |= f
+    return SimplicialComplex(
+        tuple(f"v{i}" for i in range(used.bit_length())), tuple(sorted(facets))
+    )
+
+
+def _check_warm_calls(k):
+    # char 2 before char 0, and Buchsbaum (nonempty faces only) before depth,
+    # so each call replays a scan that another field or question started
+    for field in (GF2, QQ):
+        assert is_buchsbaum_complex(k, field) == naive_is_buchsbaum(k, field), k
+        if k.facets != (0,):
+            assert depth_stanley_reisner(k, field) == naive_depth(k, field), k
+        assert is_cohen_macaulay_complex(k, field) == naive_is_cm(k, field), k
+
+
+def test_warm_link_cores_match_naive_loops():
+    _link_cores.cache_clear()
+    rng = random.Random(13)
+    for _ in range(150):
+        _check_warm_calls(_complex_of(random_antichain(rng, 8)))
+    for k in random_order_complexes(14):
+        _check_warm_calls(k)
+    # a bowtie (vertex c has a disconnected link) beside a triangle: the
+    # depth loop stops at the empty face, the complex being disconnected;
+    # Buchsbaum then needs the vertex links that this scan never reached
+    k = complex_from_facets("abcdefgh", ["abc", "cde", "fgh"])
+    _link_cores.cache_clear()
+    assert depth_stanley_reisner(k, QQ) == naive_depth(k, QQ) == 1
+    assert is_buchsbaum_complex(k, QQ) is naive_is_buchsbaum(k, QQ) is False
+    assert _link_cores.cache_info().hits == 1
+
+
+def test_interrupted_scan_is_not_replayed(monkeypatch):
+    # interrupt the scan at each of its collapses in turn; the next call
+    # must not take the part computed before the interrupt for the whole
+    calls = []
+    stop_at = [None]
+
+    def collapse(facets):
+        if len(calls) == stop_at[0]:
+            raise KeyboardInterrupt
+        calls.append(facets)
+        return _strong_collapse(facets)
+
+    monkeypatch.setattr(invariants, "_strong_collapse", collapse)
+    rng = random.Random(16)
+    interrupts = 0
+    for _ in range(60):
+        k = _complex_of(random_antichain(rng, 8))
+        if k.facets == (0,):
+            continue
+        want = naive_depth(k, QQ)
+        _link_cores.cache_clear()
+        calls.clear()
+        assert depth_stanley_reisner(k, QQ) == want, k
+        collapses = len(calls)
+        for at in range(collapses):
+            _link_cores.cache_clear()
+            calls.clear()
+            stop_at[0] = at
+            with pytest.raises(KeyboardInterrupt):
+                depth_stanley_reisner(k, QQ)
+            stop_at[0] = None
+            assert depth_stanley_reisner(k, QQ) == want, (k, at)
+        interrupts += collapses
+    assert interrupts > 10, interrupts
+
+
+def _stripped_key(facets):
+    common = facets[0]
+    for f in facets:
+        common &= f
+    return _compact_key([f & ~common for f in facets])
+
+
+def test_section3_ideal_and_core_share_one_scan():
+    for n in (3, 4, 5):
+        fixed = _section3_fixed(n)
+        full, core = fixed["polarized"][0], fixed["core_polarized"][0]
+        assert _stripped_key(full.facets) == _stripped_key(core.facets), n
+        _link_cores.cache_clear()
+        depth_stanley_reisner(full, GF2)
+        depth_stanley_reisner(core, QQ)
+        info = _link_cores.cache_info()
+        assert (info.misses, info.hits) == (1, 1), n
