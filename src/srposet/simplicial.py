@@ -5,15 +5,18 @@ facets; every subset of a facet is a face, and the empty face is always
 present.  The complex {emptyset} is represented by the single facet 0; the
 void complex is not representable.
 
-Homology is computed from ranks of the augmented boundary matrices, with
-arbitrary-precision integer (fraction-free) elimination in characteristic 0
-and modular elimination in characteristic p.  Over a field, homology and
-cohomology dimensions coincide, and that is what BettiVector reports.
+Homology is computed on the strong-collapse core of a complex (a
+deformation retract, so every reduced Betti number is kept) from ranks of
+the augmented boundary matrices, with arbitrary-precision integer
+(fraction-free) elimination in characteristic 0 and modular elimination in
+characteristic p.  Over a field, homology and cohomology dimensions
+coincide, and that is what BettiVector reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 import json
 
@@ -190,8 +193,18 @@ class BettiVector:
 
 
 def reduced_betti_numbers(k: SimplicialComplex, field: FieldSpec) -> BettiVector:
-    """Exact reduced homology dimensions from augmented boundary ranks."""
-    betti = _betti_masks(_compact_key(k.facets), field.characteristic)
+    """Exact reduced homology dimensions, degrees -1 up to dim k.
+
+    The ranks are taken on the strong-collapse core of k, which has the
+    same reduced homology; a core that is one simplex is acyclic.  Degrees
+    above the core's dimension are reported as zeros.
+    """
+    core = _strong_collapse(k.facets)
+    if len(core) == 1 and core[0]:
+        betti = ()
+    else:
+        betti = _betti_masks(_compact_key(core), field.characteristic)
+    betti += (0,) * (k.dim() + 2 - len(betti))
     return BettiVector({d - 1: b for d, b in enumerate(betti)})
 
 
@@ -239,6 +252,8 @@ def _compact_key(facets: Iterable[int]) -> tuple[int, ...]:
     used = 0
     for f in facets:
         used |= f
+    if not used & (used + 1):  # already dense, as in every order complex
+        return tuple(sorted(facets))
     pos = {b: i for i, b in enumerate(_bits(used))}
     return tuple(sorted(_remap_mask(f, pos) for f in facets))
 
@@ -269,15 +284,15 @@ def _faces_by_card(facets: Iterable[int]) -> list[list[int]]:
     return grouped
 
 
-_BETTI_CACHE: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=4096)
 def _betti_masks(facets: tuple[int, ...], char: int) -> tuple[int, ...]:
-    """Reduced Betti numbers (beta_{-1}, beta_0, ..., beta_dim) of a facet set."""
-    key = (facets, char)
-    got = _BETTI_CACHE.get(key)
-    if got is not None:
-        return got
+    """Reduced Betti numbers (beta_{-1}, beta_0, ..., beta_dim) of a facet set,
+    from the boundary ranks of all its faces; no collapse.
+
+    Bounded: a sweep passes through far more complexes than it revisits,
+    while one batch of interval tests on 6-element posets uses about 3,400
+    entries.
+    """
     grouped = _faces_by_card(facets)
     maxc = len(grouped) - 1
     nf = [len(g) for g in grouped]
@@ -288,9 +303,7 @@ def _betti_masks(facets: tuple[int, ...], char: int) -> tuple[int, ...]:
     for c in range(maxc + 1):
         upper = ranks[c + 1] if c + 1 <= maxc else 0
         betti.append(nf[c] - ranks[c] - upper)
-    result = tuple(betti)
-    _BETTI_CACHE[key] = result
-    return result
+    return tuple(betti)
 
 
 def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from srposet import cli
 from srposet.cli import main
 
 
@@ -249,3 +250,13 @@ class TestSweep:
 
     def test_cap(self, capsys):
         assert main(["sweep", "--max-elements", "7"]) == 2
+
+    def test_failure_is_reported(self, monkeypatch, capsys):
+        # if every P counted as Cohen-Macaulay, so would every P (+) Q, and
+        # the a-invariant biconditional must break
+        monkeypatch.setattr(cli, "is_cohen_macaulay_complex", lambda k, f: True)
+        code = main(["sweep", "--max-elements", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("FAIL biconditional-fails: ")
+        assert len(out.splitlines()) == 1
