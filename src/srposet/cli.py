@@ -229,8 +229,7 @@ def cmd_detsym(args) -> int:
     return 0
 
 
-def _sweep_pair(p: Poset, q: frozenset, fields, per_poset, failures: list) -> None:
-    minimal, per_field = per_poset
+def _sweep_pair(p: Poset, q: frozenset, minimal, per_field, failures: list) -> None:
     cond_q = euler_condition_Q(p, q)
     cond_int = euler_condition_interval(p, q)
     if cond_q != cond_int:
@@ -248,7 +247,7 @@ def _sweep_pair(p: Poset, q: frozenset, fields, per_poset, failures: list) -> No
             return
     up = uplus(p, q)
     delta_up = order_complex(up)
-    for f, (betti_p, cm_p) in zip(fields, per_field):
+    for f, betti_p, cm_p in per_field:
         betti_up = reduced_betti_numbers(delta_up, f)
         if betti_p != betti_up:
             failures.append(("betti-not-preserved", p, sorted(q), f.characteristic))
@@ -276,17 +275,6 @@ def _sweep_pair(p: Poset, q: frozenset, fields, per_poset, failures: list) -> No
                 return
 
 
-def _sweep_poset(p: Poset, fields) -> tuple:
-    """What `_sweep_pair` needs of P alone, for every ideal Q of P."""
-    delta_p = order_complex(p)
-    minimal = [p.elements[i] for i in p.minimal_idx()]
-    per_field = [
-        (reduced_betti_numbers(delta_p, f), is_cohen_macaulay_complex(delta_p, f))
-        for f in fields
-    ]
-    return minimal, per_field
-
-
 def cmd_sweep(args) -> int:
     if args.max_elements > 6:
         print("error: sweep is capped at 6 elements", file=sys.stderr)
@@ -297,10 +285,16 @@ def cmd_sweep(args) -> int:
     for n in range(args.max_elements + 1):
         labels = [chr(ord("a") + i) for i in range(n)]
         for p in enumerate_posets(labels):
-            per_poset = _sweep_poset(p, fields)
+            # what every pair needs of P alone, computed once per poset
+            delta_p = order_complex(p)
+            minimal = [p.elements[i] for i in p.minimal_idx()]
+            per_field = [
+                (f, reduced_betti_numbers(delta_p, f), is_cohen_macaulay_complex(delta_p, f))
+                for f in fields
+            ]
             for q in all_poset_ideals(p):
                 pairs += 1
-                _sweep_pair(p, q, fields, per_poset, failures)
+                _sweep_pair(p, q, minimal, per_field, failures)
                 if failures:
                     kind, bad_p, bad_q, *rest = failures[0]
                     print(f"FAIL {kind}: P={bad_p!r} Q={bad_q} {rest}")

@@ -38,6 +38,7 @@ from .simplicial import (
     _link_facets,
     _strong_collapse,
     is_equidimensional,
+    reduced_betti_numbers,
 )
 
 
@@ -152,9 +153,8 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
     """Interval criterion: every open interval of P (with formal bottom and
     top adjoined) has an order complex with homology only in top degree.
 
-    Deliberately implemented via open_interval + the raw boundary-rank
-    kernel `_betti_masks`, with no strong collapse, so that it shares no
-    reduction with the link-based complex test it is checked against.
+    Deliberately implemented via open_interval + reduced_betti_numbers,
+    independently of the link-based complex test.
     """
     points = [NEG_INF, *p.elements, POS_INF]
 
@@ -177,9 +177,8 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
                 # d = -1: nothing below top degree; d = 0: only beta_{-1}
                 # could matter and it vanishes whenever a vertex exists
                 continue
-            # entry i is degree i - 1; homology below degree d fails
-            betti = _betti_masks(_compact_key(delta.facets), field.characteristic)
-            if any(betti[:d + 1]):
+            betti = reduced_betti_numbers(delta, field)
+            if any(betti[i] for i in range(-1, d)):
                 return False
     return True
 

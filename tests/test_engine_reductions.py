@@ -21,6 +21,7 @@ from srposet import (
     depth_stanley_reisner,
     is_buchsbaum_complex,
     is_cohen_macaulay_complex,
+    is_cohen_macaulay_poset,
     is_equidimensional,
     link,
     order_complex,
@@ -30,6 +31,7 @@ from srposet import (
 from srposet import invariants
 from srposet.detsym import _polarized_complex, _section3_fixed
 from srposet.invariants import _link_cores
+from srposet.poset import NEG_INF, POS_INF, open_interval
 from srposet.simplicial import (
     _betti_masks,
     _closed_faces,
@@ -242,6 +244,29 @@ def test_reduced_betti_numbers_match_raw_kernel():
     for k in complexes:
         for field in (QQ, GF2, FieldSpec(3)):
             assert reduced_betti_numbers(k, field).values == raw_betti(k, field), (k, field)
+
+
+def naive_is_cm_poset(p, field):
+    """The interval criterion on raw Betti numbers of every open interval."""
+    points = [NEG_INF, *p.elements, POS_INF]
+    for a in points[:-1]:
+        for b in points[1:]:
+            if a is NEG_INF or b is POS_INF or p.less(a, b):
+                interval = order_complex(open_interval(p, a, b))
+                betti = raw_betti(interval, field)
+                if any(betti[d] for d in range(-1, interval.dim())):
+                    return False
+    return True
+
+
+def test_interval_test_matches_raw_kernel():
+    # the interval test reads collapsed Betti numbers, as the link test
+    # does; this oracle ranks the uncollapsed interval complexes instead
+    rng = random.Random(17)
+    for _ in range(150):
+        p = random_poset(rng, "abcdefg"[: rng.randint(0, 7)])
+        for field in (QQ, GF2):
+            assert is_cohen_macaulay_poset(p, field) == naive_is_cm_poset(p, field), p
 
 
 def _check_warm_calls(k):
