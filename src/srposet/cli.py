@@ -30,16 +30,8 @@ from .poset import (
     poset_from_json,
     poset_to_json,
     reduced_euler_char_poset,
-    uplus,
 )
-from .rees import (
-    a_invariant_negative,
-    euler_condition_Q,
-    euler_condition_interval,
-    g_dis_numerator_mu_top,
-    g_dis_numerator_mu_top_via_lower_sets,
-    rees_cm_report,
-)
+from .rees import _cm_reports, _rees_facts, g_dis_numerator_mu_top_via_lower_sets
 from .simplicial import (
     BettiVector,
     FieldSpec,
@@ -169,21 +161,18 @@ def cmd_uplus(args) -> int:
     p = _parse(poset_from_json, _read(args.poset), "poset")
     q = _parse(ideal_from_json, _read(args.ideal), "ideal")
     fields = _fields_from_args(args)
-    per_field = []
-    warned = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DegenerateQWarning)
-            for f in fields:
-                per_field.append(rees_cm_report(p, q, f))
+            facts = _rees_facts(p, q)
+            per_field = _cm_reports(p, facts, fields)
             warned = [str(w.message) for w in caught]
     except SRPosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    constructed = uplus(p, q)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "uplus": json.loads(poset_to_json(constructed)),
+        "uplus": json.loads(poset_to_json(facts.uplus)),
         "fields": per_field,
     }
     if warned:
@@ -230,49 +219,44 @@ def cmd_detsym(args) -> int:
 
 
 def _sweep_pair(p: Poset, q: frozenset, minimal, per_field, failures: list) -> None:
-    cond_q = euler_condition_Q(p, q)
-    cond_int = euler_condition_interval(p, q)
-    if cond_q != cond_int:
+    facts = _rees_facts(p, q)
+    if facts.cond_q != facts.cond_interval:
         failures.append(("euler-conditions-disagree", p, sorted(q)))
         return
     if q:
-        direct = g_dis_numerator_mu_top(p, q)
-        rewritten = g_dis_numerator_mu_top_via_lower_sets(p, q)
-        a_neg = direct.is_zero()
-        if direct != rewritten:
+        a_neg = facts.numerator.is_zero()
+        if facts.numerator != g_dis_numerator_mu_top_via_lower_sets(p, q):
             failures.append(("numerator-routes-disagree", p, sorted(q)))
             return
-        if a_neg != cond_q:
+        if a_neg != facts.cond_q:
             failures.append(("a-invariant-vs-euler", p, sorted(q)))
             return
-    up = uplus(p, q)
+    up = facts.uplus
     delta_up = order_complex(up)
+    delta_red = None
+    if len(minimal) == 1 and q:
+        star = minimal[0] + "*"
+        delta_red = order_complex(up.restrict([e for e in up.elements if e != star]))
     for f, betti_p, cm_p in per_field:
         betti_up = reduced_betti_numbers(delta_up, f)
         if betti_p != betti_up:
             failures.append(("betti-not-preserved", p, sorted(q), f.characteristic))
             return
-        if len(minimal) == 1 and q:
-            star = minimal[0] + "*"
-            reduced = up.restrict([e for e in up.elements if e != star])
-            betti_red = reduced_betti_numbers(order_complex(reduced), f)
-            if betti_red != BettiVector({}):
-                failures.append(("deleted-star-not-acyclic", p, sorted(q), f.characteristic))
-                return
+        if delta_red is not None and reduced_betti_numbers(delta_red, f) != BettiVector({}):
+            failures.append(("deleted-star-not-acyclic", p, sorted(q), f.characteristic))
+            return
         if not cm_p:
             continue
         cm_up = is_cohen_macaulay_complex(delta_up, f)
-        if cond_int and not cm_up:
+        if facts.cond_interval and not cm_up:
             failures.append(("interval-condition-but-not-cm", p, sorted(q), f.characteristic))
             return
         if len(minimal) == 1 and not cm_up:
             failures.append(("unique-min-but-not-cm", p, sorted(q), f.characteristic))
             return
-        if q and len(q) < len(p):
-            a_neg = a_invariant_negative(p, q)
-            if cm_up != a_neg:
-                failures.append(("biconditional-fails", p, sorted(q), f.characteristic))
-                return
+        if q and len(q) < len(p) and cm_up != a_neg:
+            failures.append(("biconditional-fails", p, sorted(q), f.characteristic))
+            return
 
 
 def cmd_sweep(args) -> int:

@@ -92,16 +92,20 @@ class Poset:
         return a == b or self.less(a, b)
 
     def down_masks(self) -> tuple[int, ...]:
-        """For each element, the bitmask of elements strictly below it."""
-        n = len(self.elements)
-        cols = [0] * n
-        for i, row in enumerate(self.lt):
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                cols[j] |= 1 << i
-                m &= m - 1
-        return tuple(cols)
+        """For each element, the bitmask of elements strictly below it.
+
+        Built on the first call and kept on the instance, outside the
+        dataclass fields, so equality, hashing and repr do not see it.
+        """
+        cols = self.__dict__.get("_down")
+        if cols is None:
+            down = [0] * len(self.elements)
+            for i, row in enumerate(self.lt):
+                for j in _bits(row):
+                    down[j] |= 1 << i
+            cols = tuple(down)
+            object.__setattr__(self, "_down", cols)
+        return cols
 
     def cover_pairs_idx(self) -> list[tuple[int, int]]:
         """Hasse diagram as (lower, upper) index pairs."""
@@ -223,14 +227,17 @@ def is_pure(p: Poset) -> bool:
 
 def is_poset_ideal(p: Poset, subset: Iterable[str]) -> bool:
     """True iff the subset is downward closed in p."""
-    mask = _subset_mask(p, subset)
-    cols = p.down_masks()
+    return _is_closed(p.down_masks(), _subset_mask(p, subset))
+
+
+def _is_closed(reach: Sequence[int], mask: int) -> bool:
+    """True iff reach[j] lies inside the mask for every j in it."""
     m = mask
     while m:
-        j = (m & -m).bit_length() - 1
-        if cols[j] & ~mask:
+        low = m & -m
+        if reach[low.bit_length() - 1] & ~mask:
             return False
-        m &= m - 1
+        m ^= low
     return True
 
 
@@ -272,31 +279,27 @@ def uplus(p: Poset, q: Iterable[str]) -> Poset:
     labels are the original labels suffixed with ``*``; input labels must not
     contain the marker.
     """
+    qmask = _subset_mask(p, q)
+    if not _is_closed(p.down_masks(), qmask):
+        raise NotAnIdealError("subset is not downward closed")
+    return _uplus_mask(p, qmask)
+
+
+def _uplus_mask(p: Poset, qmask: int) -> Poset:
+    """uplus for the bitmask of a subset already known to be an ideal."""
     for e in p.elements:
         if STAR in e:
             raise ValueError(f"label {e!r} contains the reserved marker {STAR!r}")
-    qmask = _subset_mask(p, q)
-    if not is_poset_ideal(p, [p.elements[i] for i in _bits(qmask)]):
-        raise NotAnIdealError("subset is not downward closed")
     n = len(p)
     qidx = list(_bits(qmask))
     star_of = {x: n + k for k, x in enumerate(qidx)}
     labels = list(p.elements) + [p.elements[x] + STAR for x in qidx]
-    rows = [0] * len(labels)
-    for i in range(n):
-        rows[i] = p.lt[i]
+    rows = list(p.lt)
     for x in qidx:
-        sx = star_of[x]
-        row = 1 << x
-        for y in qidx:
-            if (p.lt[x] >> y) & 1:
-                row |= 1 << star_of[y]
-        m = p.lt[x]
-        while m:
-            j = (m & -m).bit_length() - 1
-            row |= 1 << j
-            m &= m - 1
-        rows[sx] = row
+        row = (1 << x) | p.lt[x]
+        for y in _bits(p.lt[x] & qmask):
+            row |= 1 << star_of[y]
+        rows.append(row)
     return Poset(tuple(labels), tuple(rows))
 
 
@@ -391,20 +394,7 @@ def enumerate_posets(labels: Sequence[str]) -> Iterator[Poset]:
     n = len(labels)
 
     def closed_subsets(req: Sequence[int], m: int) -> list[int]:
-        # subsets s with req[j] a subset of s for every j in s
-        out = []
-        for s in range(1 << m):
-            ok = True
-            t = s
-            while t:
-                j = (t & -t).bit_length() - 1
-                if req[j] & ~s:
-                    ok = False
-                    break
-                t &= t - 1
-            if ok:
-                out.append(s)
-        return out
+        return [s for s in range(1 << m) if _is_closed(req, s)]
 
     def rec(m: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if m == n:
@@ -457,18 +447,9 @@ def random_poset(rng, labels: Sequence[str], edge_prob: float = 0.35) -> Poset:
 
 def all_poset_ideals(p: Poset) -> Iterator[frozenset[str]]:
     """All poset ideals (down-sets) of p, the empty set and p included."""
-    n = len(p)
     cols = p.down_masks()
-    for s in range(1 << n):
-        ok = True
-        t = s
-        while t:
-            j = (t & -t).bit_length() - 1
-            if cols[j] & ~s:
-                ok = False
-                break
-            t &= t - 1
-        if ok:
+    for s in range(1 << len(p)):
+        if _is_closed(cols, s):
             yield frozenset(p.elements[i] for i in _bits(s))
 
 

@@ -12,22 +12,34 @@ associated graded ring of the discrete algebra:
 
 rees_cm_report packages the detectors with the Cohen-Macaulay tests of P
 and of P (+) Q.
+
+The public functions check Q at their entry and then work on its bitmask.
+_rees_facts checks Q once and gathers what a pair needs whatever the
+field: both Euler conditions, the direct numerator and P (+) Q.  The
+report, the uplus command and the sweep read it.  The chains of P are
+listed once per poset (a small cache keyed by the poset).  The direct
+numerator adds up the chain signs for each sigma u Q and then applies one
+subset Moebius transform over the coordinates outside Q (Bjoerklund,
+Husfeldt, Kaski and Koivisto, "Fourier meets Moebius: fast subset
+convolution", STOC 2007).  The lower-set rewrite keeps its own
+chain-by-chain expansion, so the routes stay independent.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from .errors import DegenerateQWarning, EmptyQError, NotAnIdealError
 from .invariants import is_cohen_macaulay_complex
 from .poset import (
     Poset,
+    _is_closed,
     _subset_mask,
+    _uplus_mask,
     euler_char_restricted,
-    is_poset_ideal,
     order_complex,
-    uplus,
 )
 from .simplicial import FieldSpec, _bits
 
@@ -52,9 +64,6 @@ class IntPolynomial:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.variables != other.variables:
             raise ValueError("variable sets differ")
@@ -65,19 +74,6 @@ class IntPolynomial:
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.variables != other.variables:
-            raise ValueError("variable sets differ")
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return IntPolynomial(self.variables, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -93,15 +89,48 @@ class IntPolynomial:
         return f"IntPolynomial({' + '.join(parts)})"
 
 
+class _ReesFacts(NamedTuple):
+    """What a pair (P, Q) gives whatever the field, with Q checked once."""
+
+    qmask: int
+    cond_q: bool
+    cond_interval: bool
+    numerator: IntPolynomial | None  # None when Q is empty
+    uplus: Poset
+
+
 def _validated_masks(p: Poset, q: Iterable[str]) -> int:
     qmask = _subset_mask(p, q)
-    if not is_poset_ideal(p, [p.elements[i] for i in _bits(qmask)]):
+    if not _is_closed(p.down_masks(), qmask):
         raise NotAnIdealError("Q is not a poset ideal of P")
     return qmask
 
 
-def _all_chain_masks(p: Poset) -> list[int]:
-    """Bitmasks of all chains of p, the empty chain included."""
+def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
+    qmask = _validated_masks(p, q)
+    if not qmask:
+        raise EmptyQError("Q must be nonempty")
+    return qmask
+
+
+def _rees_facts(p: Poset, q: Iterable[str]) -> _ReesFacts:
+    qmask = _validated_masks(p, q)
+    cols = p.down_masks()
+    return _ReesFacts(
+        qmask,
+        _euler_vanishes(cols, qmask, qmask),
+        _euler_vanishes(cols, qmask, (1 << len(p)) - 1),
+        _numerator(p, qmask) if qmask else None,
+        _uplus_mask(p, qmask),
+    )
+
+
+@lru_cache(maxsize=16)
+def _all_chain_masks(p: Poset) -> tuple[int, ...]:
+    """Bitmasks of all chains of p, the empty chain included.
+
+    Cached, so that the pairs of one poset share its chains.
+    """
     n = len(p)
     cols = p.down_masks()
     order = sorted(range(n), key=lambda i: cols[i].bit_count())
@@ -109,79 +138,72 @@ def _all_chain_masks(p: Poset) -> list[int]:
     ending: dict[int, list[int]] = {}
     for i in order:
         mine = [1 << i]
-        m = cols[i]
-        while m:
-            j = (m & -m).bit_length() - 1
+        for j in _bits(cols[i]):
             mine.extend(c | (1 << i) for c in ending[j])
-            m &= m - 1
         ending[i] = mine
         chains.extend(mine)
-    return chains
+    return tuple(chains)
+
+
+def _euler_vanishes(cols: tuple[int, ...], qmask: int, within: int) -> bool:
+    """chi~({y in within | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
+    outside = ((1 << len(cols)) - 1) & ~qmask
+    return all(
+        euler_char_restricted(cols, cols[x] & within) == 0 for x in _bits(outside)
+    ) and euler_char_restricted(cols, within) == 0
 
 
 def euler_condition_Q(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
     qmask = _validated_masks(p, q)
-    cols = p.down_masks()
-    n = len(p)
-    for x in range(n):
-        if (qmask >> x) & 1:
-            continue
-        if euler_char_restricted(cols, cols[x] & qmask) != 0:
-            return False
-    return euler_char_restricted(cols, qmask) == 0
+    return _euler_vanishes(p.down_masks(), qmask, qmask)
 
 
 def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~((-inf, x)_P) = 0 for every x in (P u {inf}) \\ Q."""
     qmask = _validated_masks(p, q)
-    cols = p.down_masks()
-    n = len(p)
-    for x in range(n):
-        if (qmask >> x) & 1:
-            continue
-        if euler_char_restricted(cols, cols[x]) != 0:
-            return False
-    return euler_char_restricted(cols, (1 << n) - 1) == 0
+    return _euler_vanishes(p.down_masks(), qmask, (1 << len(p)) - 1)
 
 
-def _terms_from_mask_coeffs(n: int, acc: dict[int, int]) -> dict[tuple[int, ...], int]:
-    out = {}
-    for mask, c in acc.items():
-        if c:
-            out[tuple((mask >> i) & 1 for i in range(n))] = c
-    return out
+def _polynomial(p: Poset, acc: dict[int, int]) -> IntPolynomial:
+    """The polynomial with coefficient acc[m] on the squarefree monomial m."""
+    bits = range(len(p))
+    return IntPolynomial(
+        p.elements,
+        {tuple([m >> i & 1 for i in bits]): c for m, c in acc.items() if c},
+    )
 
 
 def g_dis_numerator_mu_top(p: Poset, q: Iterable[str]) -> IntPolynomial:
     """Top-mu coefficient of the multigraded Hilbert-series numerator of the
     associated graded ring of k[P]/(incomparable products) along Q.
 
-    Expanded exactly over the integers by direct summation over the chains
-    of P: each chain sigma contributes
+    Each chain sigma of P contributes
     prod_{x in sigma} L_x * prod_{x in Q \\ sigma} (-L_x)
-    * prod_{x not in sigma u Q} (1 - L_x).
+    * prod_{x not in sigma u Q} (1 - L_x),
+    summed exactly over the integers.
     """
-    qmask = _validated_masks(p, q)
-    if not qmask:
-        raise EmptyQError("Q must be nonempty")
-    n = len(p)
-    full = (1 << n) - 1
+    return _numerator(p, _nonempty_mask(p, q))
+
+
+def _numerator(p: Poset, qmask: int) -> IntPolynomial:
+    # The chains with one union sigma u Q = Q u b share the factor
+    # prod_{Q u b} L * prod_{rest - b} (1 - L), so first add up their signs
+    # per b; expanding the products is then the subset Moebius transform
+    # over the coordinates outside Q, acc[s] = sum over b in s of
+    # (-1)^|s - b| acc[b], one coordinate at a time.  Zero entries pass
+    # nothing on, so only the nonzero ones are stored.
+    rest = ((1 << len(p)) - 1) & ~qmask
     acc: dict[int, int] = {}
     for sigma in _all_chain_masks(p):
-        base = sigma | qmask
-        sign = -1 if (qmask & ~sigma).bit_count() % 2 else 1
-        rest = full & ~base
-        # expand prod over rest of (1 - L): subsets t with sign (-1)^|t|
-        t = rest
-        while True:
-            s = -sign if t.bit_count() % 2 else sign
-            key = base | t
-            acc[key] = acc.get(key, 0) + s
-            if t == 0:
-                break
-            t = (t - 1) & rest
-    return IntPolynomial(p.elements, _terms_from_mask_coeffs(n, acc))
+        b = sigma & rest
+        acc[b] = acc.get(b, 0) + (-1 if (qmask & ~sigma).bit_count() % 2 else 1)
+    for i in _bits(rest):
+        bit = 1 << i
+        for s, c in list(acc.items()):
+            if c and not s & bit:
+                acc[s | bit] = acc.get(s | bit, 0) - c
+    return _polynomial(p, {qmask | s: c for s, c in acc.items()})
 
 
 def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPolynomial:
@@ -189,49 +211,38 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
     lower sets of Q: (-1)^(|Q|+1) * prod_{Q} L * sum over chains tau
     disjoint from Q of chi~({y in Q | y < min tau}) * prod_{tau} L *
     prod_{rest}(1 - L)."""
-    qmask = _validated_masks(p, q)
-    if not qmask:
-        raise EmptyQError("Q must be nonempty")
-    n = len(p)
-    full = (1 << n) - 1
+    qmask = _nonempty_mask(p, q)
+    full = (1 << len(p)) - 1
     cols = p.down_masks()
-    sub = p._restrict_idx([i for i in range(n) if not (qmask >> i) & 1])
-    outer_map = [p.index(e) for e in sub.elements]
-    chi_cache: dict[int, int] = {}
-
-    def chi(mask: int) -> int:
-        got = chi_cache.get(mask)
-        if got is None:
-            got = euler_char_restricted(cols, mask)
-            chi_cache[mask] = got
-        return got
-
+    chi_of: dict[int, int] = {}
     lead = -1 if (qmask.bit_count() + 1) % 2 else 1
     acc: dict[int, int] = {}
-    for tau_sub in _all_chain_masks(sub):
-        tau = 0
-        for j in _bits(tau_sub):
-            tau |= 1 << outer_map[j]
+    for tau in _all_chain_masks(p):
+        if tau & qmask:
+            continue
         # {y in Q | y < min tau}; min(empty u {inf}) = inf gives all of Q
         low = full
         for i in _bits(tau):
             if not (cols[i] & tau):
                 low = cols[i]
                 break
-        c = chi(low & qmask)
+        low &= qmask
+        c = chi_of.get(low)
+        if c is None:
+            c = chi_of[low] = euler_char_restricted(cols, low)
         if c == 0:
             continue
+        c *= lead
         base = tau | qmask
         rest = full & ~base
         t = rest
         while True:
-            s = -c if t.bit_count() % 2 else c
             key = base | t
-            acc[key] = acc.get(key, 0) + lead * s
+            acc[key] = acc.get(key, 0) + (-c if t.bit_count() % 2 else c)
             if t == 0:
                 break
             t = (t - 1) & rest
-    return IntPolynomial(p.elements, _terms_from_mask_coeffs(n, acc))
+    return _polynomial(p, acc)
 
 
 def a_invariant_negative(p: Poset, q: Iterable[str]) -> bool:
@@ -249,36 +260,42 @@ def rees_cm_report(p: Poset, q: Iterable[str], field: FieldSpec) -> dict:
     flags are still reported, consistency is not asserted (None), and a
     DegenerateQWarning is emitted.
     """
-    qset = frozenset(q)
-    qmask = _validated_masks(p, qset)
-    degenerate = qmask == 0 or qmask == (1 << len(p)) - 1
+    return _cm_reports(p, _rees_facts(p, q), [field])[0]
+
+
+def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[dict]:
+    """rees_cm_report in each field, from the facts of one pair; the order
+    complexes are built once for all fields."""
+    degenerate = facts.qmask == 0 or facts.qmask == (1 << len(p)) - 1
     if degenerate:
         warnings.warn(
             "Q is empty or all of P; the biconditional is not asserted",
             DegenerateQWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    uplus_poset = uplus(p, qset)
-    cm_p = is_cohen_macaulay_complex(order_complex(p), field)
-    cm_uplus = is_cohen_macaulay_complex(order_complex(uplus_poset), field)
-    cond_q = euler_condition_Q(p, qset)
-    cond_interval = euler_condition_interval(p, qset)
-    a_neg = a_invariant_negative(p, qset) if qmask else None
-    if degenerate:
-        consistent = None
-    else:
-        consistent = (
-            cond_q == cond_interval == a_neg
-            and (not cm_p or cm_uplus == a_neg)
-        )
-    return {
-        "schema_version": 1,
-        "field": {"char": field.characteristic},
-        "cm_P": cm_p,
-        "cm_uplus": cm_uplus,
-        "a_negative": a_neg,
-        "cond_Q": cond_q,
-        "cond_interval": cond_interval,
-        "degenerate": degenerate,
-        "consistent": consistent,
-    }
+    a_neg = None if facts.numerator is None else facts.numerator.is_zero()
+    delta_p = order_complex(p)
+    delta_up = order_complex(facts.uplus)
+    reports = []
+    for field in fields:
+        cm_p = is_cohen_macaulay_complex(delta_p, field)
+        cm_uplus = is_cohen_macaulay_complex(delta_up, field)
+        if degenerate:
+            consistent = None
+        else:
+            consistent = (
+                facts.cond_q == facts.cond_interval == a_neg
+                and (not cm_p or cm_uplus == a_neg)
+            )
+        reports.append({
+            "schema_version": 1,
+            "field": {"char": field.characteristic},
+            "cm_P": cm_p,
+            "cm_uplus": cm_uplus,
+            "a_negative": a_neg,
+            "cond_Q": facts.cond_q,
+            "cond_interval": facts.cond_interval,
+            "degenerate": degenerate,
+            "consistent": consistent,
+        })
+    return reports

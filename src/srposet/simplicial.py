@@ -199,8 +199,7 @@ def reduced_betti_numbers(k: SimplicialComplex, field: FieldSpec) -> BettiVector
     same reduced homology.  Degrees above the core's dimension are reported
     as zeros.
     """
-    core = _strong_collapse(k.facets)
-    betti = _betti_masks(_compact_key(core), field.characteristic)
+    betti = _betti_masks(_core_key(k.facets), field.characteristic)
     betti += (0,) * (k.dim() + 2 - len(betti))
     return BettiVector({d - 1: b for d, b in enumerate(betti)})
 
@@ -277,6 +276,17 @@ def _faces_by_card(facets: Iterable[int]) -> list[list[int]]:
     for g in grouped:
         g.sort()
     return grouped
+
+
+@lru_cache(maxsize=64)
+def _core_key(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """The compacted strong-collapse core of a facet antichain.
+
+    Cached, so that the other fields of a complex reuse the first field's
+    collapse.  Small, because those calls come close together: the fields
+    of one sweep pair, or of the interval complexes of one poset.
+    """
+    return _compact_key(_strong_collapse(facets))
 
 
 @lru_cache(maxsize=4096)

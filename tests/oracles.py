@@ -26,6 +26,28 @@ def brute_chains(p) -> list[frozenset[str]]:
     return chains
 
 
+def direct_numerator(p, q) -> dict[tuple[int, ...], int]:
+    """Terms of the top-mu numerator coefficient of the pair (P, Q), as
+    exponent tuple -> nonzero coefficient, expanded chain by chain.
+
+    Each chain sigma contributes prod_{sigma} L * prod_{Q - sigma} (-L) *
+    prod_{rest} (1 - L), the last product expanded over the subsets of the
+    rest.
+    """
+    elems = list(p.elements)
+    qset = frozenset(q)
+    terms: dict[tuple[int, ...], int] = {}
+    for sigma in brute_chains(p):
+        sign = (-1) ** len(qset - sigma)
+        rest = [e for e in elems if e not in sigma and e not in qset]
+        for r in range(len(rest) + 1):
+            for t in combinations(rest, r):
+                mono = sigma | qset | set(t)
+                key = tuple(int(e in mono) for e in elems)
+                terms[key] = terms.get(key, 0) + sign * (-1) ** r
+    return {key: c for key, c in terms.items() if c}
+
+
 def brute_maximal_chains(p) -> set[frozenset[str]]:
     chains = [c for c in brute_chains(p) if c]
     return {

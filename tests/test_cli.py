@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from srposet import cli
+from srposet import BettiVector, cli
 from srposet.cli import main
 
 
@@ -260,3 +260,35 @@ class TestSweep:
         assert code == 1
         assert out.startswith("FAIL biconditional-fails: ")
         assert len(out.splitlines()) == 1
+
+
+class TestSweepFailures:
+    """Each failure kind is reported once, as the first line and the only one."""
+
+    @staticmethod
+    def sweep_fails(capsys, kind):
+        code = main(["sweep", "--max-elements", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith(f"FAIL {kind}: ")
+        assert len(out.splitlines()) == 1
+
+    def test_numerator_routes_disagree(self, monkeypatch, capsys):
+        real = cli.g_dis_numerator_mu_top_via_lower_sets
+        monkeypatch.setattr(cli, "g_dis_numerator_mu_top_via_lower_sets", lambda p, q: -real(p, q))
+        self.sweep_fails(capsys, "numerator-routes-disagree")
+
+    def test_euler_conditions_disagree(self, monkeypatch, capsys):
+        real = cli._rees_facts
+
+        def flipped(p, q):
+            facts = real(p, q)
+            return facts._replace(cond_interval=not facts.cond_interval)
+
+        monkeypatch.setattr(cli, "_rees_facts", flipped)
+        self.sweep_fails(capsys, "euler-conditions-disagree")
+
+    def test_deleted_star_not_acyclic(self, monkeypatch, capsys):
+        # an acyclic complex no longer matches the zero vector it is compared with
+        monkeypatch.setattr(cli, "BettiVector", lambda values: BettiVector({-1: 1}))
+        self.sweep_fails(capsys, "deleted-star-not-acyclic")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from srposet import (
     poset_from_json,
     poset_to_json,
     random_poset,
+    random_poset_ideal,
     reduced_euler_char_poset,
     uplus,
 )
@@ -254,6 +256,35 @@ class TestOpposite:
     @settings(max_examples=60, deadline=None)
     def test_involution(self, p):
         assert opposite(opposite(p)) == p
+
+
+class TestStoredDownMasks:
+    @staticmethod
+    def columns(p):
+        n = len(p)
+        return tuple(
+            sum(1 << i for i in range(n) if (p.lt[i] >> j) & 1) for j in range(n)
+        )
+
+    def test_same_tuple_on_every_call_and_equal_to_a_fresh_build(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            p = random_poset(rng, [f"e{i}" for i in range(rng.randint(0, 7))])
+            keep = [i for i in range(len(p)) if rng.random() < 0.6]
+            made = [p, p._restrict_idx(keep), uplus(p, random_poset_ideal(rng, p)), opposite(p)]
+            for r in made:
+                first = r.down_masks()
+                assert r.down_masks() is first
+                assert first == self.columns(r)
+
+    def test_equality_hash_and_repr_unchanged(self):
+        a, b = chain("a", "b", "c"), chain("a", "b", "c")
+        before = (hash(a), repr(a))
+        a.down_masks()
+        assert a == b and b == a
+        assert (hash(a), repr(a)) == before == (hash(b), repr(b))
+        assert len({a, b}) == 1
+        assert [f.name for f in dataclasses.fields(Poset)] == ["elements", "lt"]
 
 
 class TestEnumeration:
