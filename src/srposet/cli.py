@@ -35,6 +35,7 @@ from .rees import _cm_reports, _rees_facts, g_dis_numerator_mu_top_via_lower_set
 from .simplicial import (
     BettiVector,
     FieldSpec,
+    SimplicialComplex,
     complex_from_json,
     is_equidimensional,
     reduced_betti_numbers,
@@ -167,7 +168,8 @@ def cmd_uplus(args) -> int:
             facts = _rees_facts(p, q)
             per_field = _cm_reports(p, facts, fields)
             warned = [str(w.message) for w in caught]
-    except SRPosetError as exc:
+    except (SRPosetError, ValueError) as exc:
+        # ValueError: a label that carries the reserved star marker
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {
@@ -235,8 +237,9 @@ def _sweep_pair(p: Poset, q: frozenset, minimal, per_field, failures: list) -> N
     delta_up = order_complex(up)
     delta_red = None
     if len(minimal) == 1 and q:
-        star = minimal[0] + "*"
-        delta_red = order_complex(up.restrict([e for e in up.elements if e != star]))
+        # the starred minimum is the least element of P (+) Q: a cone point
+        star = 1 << up.index(minimal[0] + "*")
+        delta_red = SimplicialComplex(up.elements, tuple(f & ~star for f in delta_up.facets))
     for f, betti_p, cm_p in per_field:
         betti_up = reduced_betti_numbers(delta_up, f)
         if betti_p != betti_up:

@@ -157,19 +157,13 @@ def section3_facets(n: int) -> tuple[list[str], list[str]]:
 
 
 @lru_cache(maxsize=8)
-def _polarized_complex(n: int):
-    ideal = a_dis_ideal_t2(n)
-    polarized, aux = polarize(ideal)
-    return stanley_reisner_complex(polarized), aux
-
-
-@lru_cache(maxsize=8)
 def _section3_fixed(n: int) -> dict:
     """Everything reproduce_section3(n) computes that no field changes,
     and the polarized complex with its auxiliary count for the ideal and
     for its core, whose depths each field reads."""
     ideal = a_dis_ideal_t2(n)
-    complex_, aux = _polarized_complex(n)
+    polarized, aux = polarize(ideal)
+    complex_ = stanley_reisner_complex(polarized)
     facet_a, facet_b = section3_facets(n)
     mask_a = complex_.face_mask(facet_a)
     mask_b = complex_.face_mask(facet_b)

@@ -28,11 +28,12 @@ from functools import lru_cache
 from itertools import tee
 
 from .errors import EmptyComplexError
-from .poset import NEG_INF, POS_INF, Poset, open_interval, order_complex
+from .poset import Poset, _chain_facets
 from .simplicial import (
     FieldSpec,
     SimplicialComplex,
     _betti_masks,
+    _bits,
     _closed_faces,
     _compact_key,
     _link_facets,
@@ -153,31 +154,26 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
     """Interval criterion: every open interval of P (with formal bottom and
     top adjoined) has an order complex with homology only in top degree.
 
-    Deliberately implemented via open_interval + reduced_betti_numbers,
-    independently of the link-based complex test.
+    Deliberately implemented on the chains of each interval mask, read
+    through reduced_betti_numbers, independently of the link-based test.
     """
-    points = [NEG_INF, *p.elements, POS_INF]
-
-    def strictly_less(a, b) -> bool:
-        if a is NEG_INF:
-            return b is not NEG_INF
-        if b is POS_INF:
-            return a is not POS_INF
-        if a is POS_INF or b is NEG_INF:
-            return False
-        return p.less(a, b)
-
-    for a in points:
-        for b in points:
-            if not strictly_less(a, b):
-                continue
-            delta = order_complex(open_interval(p, a, b))
-            d = delta.dim()
+    n = len(p)
+    full = (1 << n) - 1
+    # index -1 of `up` is the formal bottom, index n of `down` the formal top
+    up = (*p.lt, full)
+    down = (*p.down_masks(), full)
+    for a in range(-1, n):
+        for b in [*_bits(up[a]), n]:
+            mask = up[a] & down[b]
+            if not mask & (mask - 1):
+                continue  # at most one element: dimension -1 or 0, as below
+            facets = _chain_facets(p.lt, mask)
+            d = max(f.bit_count() for f in facets) - 1
             if d <= 0:
                 # d = -1: nothing below top degree; d = 0: only beta_{-1}
                 # could matter and it vanishes whenever a vertex exists
                 continue
-            betti = reduced_betti_numbers(delta, field)
+            betti = reduced_betti_numbers(SimplicialComplex(p.elements, facets), field)
             if any(betti[i] for i in range(-1, d)):
                 return False
     return True

@@ -109,21 +109,8 @@ class Poset:
 
     def cover_pairs_idx(self) -> list[tuple[int, int]]:
         """Hasse diagram as (lower, upper) index pairs."""
-        out = []
-        for i, row in enumerate(self.lt):
-            # j above i is a cover unless it lies above something above i
-            reach = 0
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                reach |= self.lt[j]
-                m &= m - 1
-            m = row & ~reach
-            while m:
-                j = (m & -m).bit_length() - 1
-                out.append((i, j))
-                m &= m - 1
-        return out
+        covers = _cover_masks(self.lt, (1 << len(self.lt)) - 1)
+        return [(i, j) for i, up in enumerate(covers) for j in _bits(up)]
 
     def minimal_idx(self) -> list[int]:
         above = 0
@@ -153,25 +140,6 @@ class Poset:
                 m &= m - 1
             rows.append(row)
         return Poset(tuple(self.elements[i] for i in idx), tuple(rows))
-
-    def maximal_chains_idx(self) -> list[tuple[int, ...]]:
-        """All maximal chains, as index tuples from bottom to top."""
-        n = len(self.elements)
-        if n == 0:
-            return []
-        above = [[] for _ in range(n)]
-        for i, j in self.cover_pairs_idx():
-            above[i].append(j)
-        chains = []
-        stack = [(i, (i,)) for i in self.minimal_idx()]
-        while stack:
-            x, chain = stack.pop()
-            if not above[x]:
-                chains.append(chain)
-            else:
-                for y in above[x]:
-                    stack.append((y, chain + (y,)))
-        return chains
 
 
 def poset_from_cover_relations(
@@ -208,15 +176,13 @@ def poset_from_cover_relations(
 def is_pure(p: Poset) -> bool:
     """True iff all maximal chains of p have the same cardinality."""
     n = len(p)
-    above = [[] for _ in range(n)]
-    for i, j in p.cover_pairs_idx():
-        above[i].append(j)
+    covers = _cover_masks(p.lt, (1 << n) - 1)
     # lengths of the maximal chains from each element, computed top down:
     # an element has fewer elements above it than anything below it
     lengths = [frozenset([1])] * n
     for x in sorted(range(n), key=lambda i: p.lt[i].bit_count()):
-        if above[x]:
-            lengths[x] = frozenset(1 + l for y in above[x] for l in lengths[y])
+        if covers[x]:
+            lengths[x] = frozenset(1 + l for y in _bits(covers[x]) for l in lengths[y])
     seen: set[int] = set()
     for x in p.minimal_idx():
         seen |= lengths[x]
@@ -305,15 +271,52 @@ def _uplus_mask(p: Poset, qmask: int) -> Poset:
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """The simplicial complex of chains of p; facets are maximal chains."""
-    if len(p) == 0:
-        return SimplicialComplex((), (0,))
-    masks = []
-    for chain in p.maximal_chains_idx():
-        m = 0
-        for i in chain:
-            m |= 1 << i
-        masks.append(m)
-    return SimplicialComplex(p.elements, tuple(sorted(set(masks))))
+    return SimplicialComplex(p.elements, _chain_facets(p.lt, (1 << len(p)) - 1))
+
+
+def _cover_masks(lt: Sequence[int], mask: int) -> list[int]:
+    """Covers in the order induced on a bitmask: entry i is row i minus the
+    rows of the elements above i, all within the mask (0 outside it)."""
+    covers = [0] * len(lt)
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        row = lt[i] & mask
+        reach = 0
+        t = row
+        while t:
+            j = (t & -t).bit_length() - 1
+            reach |= lt[j]
+            t &= t - 1
+        covers[i] = row & ~reach
+        m &= m - 1
+    return covers
+
+
+def _chain_facets(lt: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The maximal chains of the order induced on a bitmask, as sorted facet
+    masks over the same bits; (0,) for the empty mask.
+
+    Each maximal chain is one path up the Hasse diagram from a formal
+    bottom, covered by the minimal elements, so no chain is found twice.
+    """
+    covers = _cover_masks(lt, mask)
+    bottom = mask
+    for up in covers:
+        bottom &= ~up
+    covers.append(bottom)
+    stack = [(len(lt), 0)]
+    chains = []
+    while stack:
+        x, chain = stack.pop()
+        up = covers[x]
+        if not up:
+            chains.append(chain)
+        while up:
+            low = up & -up
+            stack.append((low.bit_length() - 1, chain | low))
+            up ^= low
+    return tuple(sorted(chains))
 
 
 def reduced_euler_char_poset(p: Poset) -> int:

@@ -211,6 +211,15 @@ class TestUplus:
         code = main(["uplus", chain_file, ideal_file(tmp_path, ["zz"]), "--json"])
         assert code == 2
 
+    def test_starred_label_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "starred.json"
+        path.write_text(json.dumps({"elements": ["a*", "b"], "covers": [["a*", "b"]]}))
+        code = main(["uplus", str(path), ideal_file(tmp_path, ["a*"]), "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: label 'a*' contains the reserved marker '*'\n"
+
 
 class TestDetsym:
     def test_n3(self, capsys):

@@ -29,7 +29,7 @@ from srposet import (
     reduced_betti_numbers,
 )
 from srposet import invariants
-from srposet.detsym import _polarized_complex, _section3_fixed
+from srposet.detsym import _section3_fixed
 from srposet.invariants import _link_cores
 from srposet.poset import NEG_INF, POS_INF, open_interval
 from srposet.simplicial import (
@@ -212,7 +212,7 @@ def test_strong_collapse_matches_restart_oracle():
 def test_link_facets_need_no_minimalizing_on_antichains():
     rng = random.Random(12)
     complexes = [random_antichain(rng) for _ in range(300)]
-    complexes += [_polarized_complex(n)[0].facets for n in (3, 4, 5)]
+    complexes += [_section3_fixed(n)["polarized"][0].facets for n in (3, 4, 5)]
     for facets in complexes:
         for sigma in _closed_faces(facets):
             got = tuple(sorted(_link_facets(facets, sigma)))

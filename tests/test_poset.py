@@ -26,7 +26,7 @@ from srposet import (
     reduced_euler_char_poset,
     uplus,
 )
-from srposet.poset import Poset
+from srposet.poset import Poset, _chain_facets
 
 from oracles import brute_euler_poset, brute_maximal_chains
 
@@ -225,6 +225,47 @@ class TestOrderComplex:
             assert k.facets == (0,)
         else:
             assert got == expected
+
+
+def brute_chain_facets(p, mask):
+    """Maximal chains of the subposet on a mask, by subset enumeration,
+    as sorted masks over p's bits."""
+    sub = p.restrict(e for i, e in enumerate(p.elements) if (mask >> i) & 1)
+    return tuple(sorted(
+        sum(1 << p.index(e) for e in c) for c in brute_maximal_chains(sub)
+    ))
+
+
+def is_convex(p, mask):
+    down = p.down_masks()
+    return all(
+        p.lt[i] & down[k] & ~mask == 0
+        for i in range(len(p)) if (mask >> i) & 1
+        for k in range(len(p)) if (mask >> k) & 1
+    )
+
+
+class TestChainFacets:
+    def test_empty_mask(self):
+        assert _chain_facets(DIAMOND.lt, 0) == (0,)
+        assert _chain_facets((), 0) == (0,)
+
+    def test_every_mask_up_to_four_elements(self):
+        for n in range(5):
+            for p in enumerate_posets("abcd"[:n]):
+                for mask in range(1 << n):
+                    assert _chain_facets(p.lt, mask) == brute_chain_facets(p, mask), (p, mask)
+
+    def test_random_masks_on_five_to_eight_elements(self):
+        rng = random.Random(31)
+        non_convex = 0
+        for _ in range(60):
+            p = random_poset(rng, "abcdefgh"[: rng.randint(5, 8)])
+            for _ in range(8):
+                mask = rng.getrandbits(len(p))
+                non_convex += not is_convex(p, mask)
+                assert _chain_facets(p.lt, mask) == brute_chain_facets(p, mask), (p, mask)
+        assert non_convex > 100
 
 
 class TestEulerChar:
