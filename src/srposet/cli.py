@@ -78,6 +78,9 @@ def _parse(loader, text: str, what: str):
     except (ValueError, SRPosetError) as exc:
         print(f"error: bad {what}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    except RecursionError:
+        print(f"error: bad {what}: JSON nested too deeply", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -220,19 +223,17 @@ def cmd_detsym(args) -> int:
     return 0
 
 
-def _sweep_pair(p: Poset, q: frozenset, minimal, per_field, failures: list) -> None:
+def _sweep_pair(p: Poset, q: frozenset, minimal, per_field) -> tuple | None:
+    """The first property this pair violates, as (kind, P, Q[, char]), or None."""
     facts = _rees_facts(p, q)
     if facts.cond_q != facts.cond_interval:
-        failures.append(("euler-conditions-disagree", p, sorted(q)))
-        return
+        return ("euler-conditions-disagree", p, sorted(q))
     if q:
         a_neg = facts.numerator.is_zero()
         if facts.numerator != g_dis_numerator_mu_top_via_lower_sets(p, q):
-            failures.append(("numerator-routes-disagree", p, sorted(q)))
-            return
+            return ("numerator-routes-disagree", p, sorted(q))
         if a_neg != facts.cond_q:
-            failures.append(("a-invariant-vs-euler", p, sorted(q)))
-            return
+            return ("a-invariant-vs-euler", p, sorted(q))
     up = facts.uplus
     delta_up = order_complex(up)
     delta_red = None
@@ -243,31 +244,29 @@ def _sweep_pair(p: Poset, q: frozenset, minimal, per_field, failures: list) -> N
     for f, betti_p, cm_p in per_field:
         betti_up = reduced_betti_numbers(delta_up, f)
         if betti_p != betti_up:
-            failures.append(("betti-not-preserved", p, sorted(q), f.characteristic))
-            return
+            return ("betti-not-preserved", p, sorted(q), f.characteristic)
         if delta_red is not None and reduced_betti_numbers(delta_red, f) != BettiVector({}):
-            failures.append(("deleted-star-not-acyclic", p, sorted(q), f.characteristic))
-            return
+            return ("deleted-star-not-acyclic", p, sorted(q), f.characteristic)
         if not cm_p:
             continue
         cm_up = is_cohen_macaulay_complex(delta_up, f)
         if facts.cond_interval and not cm_up:
-            failures.append(("interval-condition-but-not-cm", p, sorted(q), f.characteristic))
-            return
+            return ("interval-condition-but-not-cm", p, sorted(q), f.characteristic)
         if len(minimal) == 1 and not cm_up:
-            failures.append(("unique-min-but-not-cm", p, sorted(q), f.characteristic))
-            return
+            return ("unique-min-but-not-cm", p, sorted(q), f.characteristic)
         if q and len(q) < len(p) and cm_up != a_neg:
-            failures.append(("biconditional-fails", p, sorted(q), f.characteristic))
-            return
+            return ("biconditional-fails", p, sorted(q), f.characteristic)
+    return None
 
 
 def cmd_sweep(args) -> int:
     if args.max_elements > 6:
         print("error: sweep is capped at 6 elements", file=sys.stderr)
         return 2
+    if args.max_elements < 0:
+        print("error: --max-elements must be nonnegative", file=sys.stderr)
+        return 2
     fields = _fields_from_args(args)
-    failures: list = []
     pairs = 0
     for n in range(args.max_elements + 1):
         labels = [chr(ord("a") + i) for i in range(n)]
@@ -281,9 +280,9 @@ def cmd_sweep(args) -> int:
             ]
             for q in all_poset_ideals(p):
                 pairs += 1
-                _sweep_pair(p, q, minimal, per_field, failures)
-                if failures:
-                    kind, bad_p, bad_q, *rest = failures[0]
+                failure = _sweep_pair(p, q, minimal, per_field)
+                if failure:
+                    kind, bad_p, bad_q, *rest = failure
                     print(f"FAIL {kind}: P={bad_p!r} Q={bad_q} {rest}")
                     return 1
     chars = [f.characteristic for f in fields]

@@ -7,25 +7,24 @@ equidimensional complex reaching dim.  Exact reductions keep it desk-scale:
 
 * cone points (vertices in every facet) each add one and are stripped;
 * only intersections of facets can carry nonvanishing link homology (any
-  other link is a cone); they are visited smallest first, until no face
-  can lower the value further;
+  other link is a cone); they are grouped into levels by size and visited
+  smallest level first, until no face can lower the value further;
 * dominated-vertex deletion (strong collapse) is a deformation retract, so
   each link is collapsed before any boundary matrix is built;
 * the collapse does not depend on the field, so the link cores are
-  computed once per complex (facets compacted, so equal complexes on other
-  vertex labels count as one) and shared by every field, by depth, CM and
-  Buchsbaum, and by a monomial ideal and its core, whose polarized
-  complexes differ only by cone points.  Cores that are a single point are
-  acyclic over every field and are not kept.
+  computed once per complex and level, the first time a call reaches that
+  level (facets compacted, so equal complexes on other vertex labels count
+  as one), and shared by every field, by depth, CM and Buchsbaum, and by a
+  monomial ideal and its core, whose polarized complexes differ only by
+  cone points.  Cores that are a single point are acyclic over every field
+  and are not kept.
 
 No approximation is involved anywhere.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from functools import lru_cache
-from itertools import tee
 
 from .errors import EmptyComplexError
 from .poset import Poset, _chain_facets
@@ -94,60 +93,49 @@ def _link_depth(
     """min(bound, |s| + 1 + jmin(lk s)) over the closed faces s that are not
     facets, and only the nonempty ones if asked.  A facet's link {emptyset}
     gives |s|, which the callers' bound already covers.  `facets` keys the
-    shared scan, so callers pass them compacted."""
-    cores = _link_cores(facets)
-    try:
-        for size, core in copy(cores):
-            if core is not None and not (nonempty and size == 0):
-                for d, b in enumerate(_betti_masks(core, char)):
-                    if b:  # reduced homology in degree d - 1
-                        bound = min(bound, size + d)
-                        break
-            # sizes never decrease, and each size opens with a marker, so
-            # this stops before any link of no use is collapsed
+    shared levels, so callers pass them compacted.
+
+    A level's links are collapsed the first time a call reaches it, whole,
+    and only while faces of that size can still lower the bound."""
+    levels, cores = _link_cores(facets)
+    for i, (size, faces) in enumerate(levels):
+        if size + 1 >= bound:
+            break  # no face of this size or larger can lower the bound
+        if i == len(cores):
+            # appended whole, so an interrupt leaves no partial level behind;
+            # a core with one facet is a single point and is left out
+            collapsed = (_strong_collapse(_link_facets(facets, s)) for s in faces)
+            cores.append(tuple(_compact_key(c) for c in collapsed if len(c) > 1))
+        if nonempty and size == 0:
+            continue
+        for core in cores[i]:
+            for d, b in enumerate(_betti_masks(core, char)):
+                if b:  # reduced homology in degree d - 1
+                    bound = min(bound, size + d)
+                    break
             if size + 1 >= bound:
-                break
-    except BaseException:
-        # an exception inside the scan ends its generator; the cached entry
-        # would then replay the part computed so far as if it were complete
-        _link_cores.cache_clear()
-        raise
+                return bound
     return bound
 
 
 @lru_cache(maxsize=8)
 def _link_cores(facets: tuple[int, ...]):
-    """The field-independent half of `_link_depth`, computed lazily and at
-    most once per facet antichain.  Callers iterate over a `copy` of the
-    returned iterator: it replays what earlier calls computed and extends
-    it on demand.
-
-    Yields (size, None) as each size of closed face begins, so that a
-    caller can stop before any link of that size is collapsed; then
-    (|s|, core) for each closed face s of that size that is not a facet,
-    where core is the compacted strong collapse of lk s.  Cores that are a
-    single point are acyclic over every field and are not yielded.
+    """The field-independent half of `_link_depth`, once per facet
+    antichain: the closed faces that are not facets as (size, faces) levels
+    by increasing size, and a list of per-level core tuples, empty until
+    `_link_depth` extends it as far as some call needs.  A core is the
+    compacted strong collapse of lk s; single points are left out.
 
     Bounded, because the complexes worth keeping are the few a caller
     revisits at once (the fields of one complex, depth then Buchsbaum, an
     ideal and its core), while a sweep passes through tens of thousands.
     """
-    return tee(_scan_link_cores(facets), 1)[0]
-
-
-def _scan_link_cores(facets: tuple[int, ...]):
     facet_set = set(facets)
-    last = -1
-    for sigma in _closed_faces(facets):
-        size = sigma.bit_count()
-        if size != last:
-            last = size
-            yield size, None
-        if sigma in facet_set:
-            continue
-        core = _strong_collapse(_link_facets(facets, sigma))
-        if len(core) > 1:  # a core with one facet is a single point
-            yield size, _compact_key(core)
+    levels: dict[int, list[int]] = {}
+    for sigma in _closed_faces(facets):  # sorted by size
+        if sigma not in facet_set:
+            levels.setdefault(sigma.bit_count(), []).append(sigma)
+    return tuple(levels.items()), []
 
 
 def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
@@ -180,9 +168,10 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
 
 
 def complex_report(k: SimplicialComplex, field: FieldSpec) -> dict:
-    """Summary report of the face-ring invariants over one field."""
+    """Summary report of the face-ring invariants over one field; the face
+    ring of {emptyset} is the field, of depth 0."""
     dim = krull_dim_stanley_reisner(k)
-    depth = 0 if k.facets == (0,) else depth_stanley_reisner(k, field)
+    depth = _depth_masks(k.facets, field.characteristic)
     cm = depth == dim
     return {
         "dim": dim,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import NotSquarefreeError, UnitIdealError
 from .poset import Poset
 from .simplicial import SimplicialComplex, FieldSpec, _json_list, _minimalize_facets
-from .invariants import depth_stanley_reisner, krull_dim_stanley_reisner
+from .invariants import _depth_masks, krull_dim_stanley_reisner
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -259,11 +259,8 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec) -> int:
         raise UnitIdealError("depth of the zero ring")
     polarized, aux = polarize(ideal)
     k = stanley_reisner_complex(polarized)
-    if k.facets == (0,):
-        depth = 0  # face ring is the field
-    else:
-        depth = depth_stanley_reisner(k, field)
-    return depth - aux
+    # the face ring of k = {emptyset} is the field, of depth 0
+    return _depth_masks(k.facets, field.characteristic) - aux
 
 
 # ----------------------------------------------------------------------

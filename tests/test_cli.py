@@ -166,6 +166,21 @@ class TestCheckComplexAndHomology:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["check-poset", "check-complex", "homology", "uplus"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, chain_file, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    # for uplus the nested file is the ideal, read after a valid poset
+    argv = [command, chain_file, str(deep)] if command == "uplus" else [command, str(deep)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    lines = err_text.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestUplus:
     def test_chain_with_minimum(self, capsys, tmp_path, chain_file):
         code, rep = run_json(
@@ -257,8 +272,9 @@ class TestSweep:
         code = main(["sweep", "--max-elements", "0"])
         assert code == 0
 
-    def test_cap(self, capsys):
-        assert main(["sweep", "--max-elements", "7"]) == 2
+    @pytest.mark.parametrize("cap", ["7", "-1"])
+    def test_cap(self, capsys, cap):
+        assert main(["sweep", "--max-elements", cap]) == 2
 
     def test_failure_is_reported(self, monkeypatch, capsys):
         # if every P counted as Cohen-Macaulay, so would every P (+) Q, and

@@ -332,6 +332,27 @@ def test_interrupted_scan_is_not_replayed(monkeypatch):
     assert interrupts > 10, interrupts
 
 
+def test_depth_collapses_only_the_levels_it_reads(monkeypatch):
+    # two disjoint copies of a complex are disconnected, so depth stops at
+    # the empty face: its link, the whole complex, is the one collapsed
+    calls = []
+
+    def collapse(facets):
+        calls.append(facets)
+        return _strong_collapse(facets)
+
+    monkeypatch.setattr(invariants, "_strong_collapse", collapse)
+    k = _section3_fixed(4)["polarized"][0]
+    shift = len(k.vertices)
+    two = SimplicialComplex(
+        (*k.vertices, *(v + "'" for v in k.vertices)),
+        tuple(sorted([*k.facets, *(f << shift for f in k.facets)])),
+    )
+    _link_cores.cache_clear()
+    assert depth_stanley_reisner(two, QQ) == 1
+    assert calls == [_compact_key(two.facets)]
+
+
 def _stripped_key(facets):
     common = facets[0]
     for f in facets:
