@@ -238,9 +238,9 @@ def _sweep_pair(p: Poset, q: frozenset, minimal, per_field) -> tuple | None:
     delta_up = order_complex(up)
     delta_red = None
     if len(minimal) == 1 and q:
-        # the starred minimum is the least element of P (+) Q: a cone point
+        # the starred minimum is least in P (+) Q, so in every facet: a cone point
         star = 1 << up.index(minimal[0] + "*")
-        delta_red = SimplicialComplex(up.elements, tuple(f & ~star for f in delta_up.facets))
+        delta_red = SimplicialComplex._trusted(up.elements, tuple(f & ~star for f in delta_up.facets))
     for f, betti_p, cm_p in per_field:
         betti_up = reduced_betti_numbers(delta_up, f)
         if betti_p != betti_up:

@@ -18,7 +18,7 @@ from .errors import (
     NotComparableError,
     UnknownLabelError,
 )
-from .simplicial import SimplicialComplex, _bits, _json_list
+from .simplicial import SimplicialComplex, _bits, _json_list, _remap_mask
 
 STAR = "*"
 
@@ -56,17 +56,26 @@ class Poset:
                 raise ValueError("relation bit out of range")
             if (row >> i) & 1:
                 raise CycleError(f"{self.elements[i]} < {self.elements[i]}")
-        # closed + irreflexive implies antisymmetric, so no separate check
+        # closed + irreflexive implies antisymmetric, so no separate check.
+        # Once j passes, lt[j] is skipped; complete by induction on |lt[i]|:
+        # a skipped j' lies in lt[j], strictly smaller than lt[i] (no j), so
+        # lt[j'] lies in lt[j], which lies in lt[i].
         for i in range(n):
             row = self.lt[i]
-            closure = row
             m = row
             while m:
                 j = (m & -m).bit_length() - 1
-                closure |= self.lt[j]
-                m &= m - 1
-            if closure != row:
-                raise ValueError("relation is not transitively closed")
+                if self.lt[j] & ~row:
+                    raise ValueError("relation is not transitively closed")
+                m &= ~(self.lt[j] | (1 << j))
+
+    @classmethod
+    def _trusted(cls, elements: tuple[str, ...], lt: tuple[int, ...]) -> "Poset":
+        """Skips __post_init__: for posets the engine derives from valid ones."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "elements", elements)
+        object.__setattr__(p, "lt", lt)
+        return p
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -129,17 +138,9 @@ class Poset:
 
     def _restrict_idx(self, idx: Sequence[int]) -> "Poset":
         pos = {g: k for k, g in enumerate(idx)}
-        rows = []
-        for i in idx:
-            row = 0
-            m = self.lt[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                if j in pos:
-                    row |= 1 << pos[j]
-                m &= m - 1
-            rows.append(row)
-        return Poset(tuple(self.elements[i] for i in idx), tuple(rows))
+        keep = sum(1 << i for i in idx)
+        rows = tuple(_remap_mask(self.lt[i] & keep, pos) for i in idx)
+        return Poset._trusted(tuple(self.elements[i] for i in idx), rows)
 
 
 def poset_from_cover_relations(
@@ -156,21 +157,35 @@ def poset_from_cover_relations(
     index = {e: i for i, e in enumerate(labels)}
     n = len(labels)
     rows = [0] * n
+    indeg = [0] * n  # distinct covers into each element
     for a, b in covers:
         if a not in index:
             raise UnknownLabelError(a)
         if b not in index:
             raise UnknownLabelError(b)
-        rows[index[a]] |= 1 << index[b]
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
-    for i in range(n):
-        if (rows[i] >> i) & 1:
-            raise CycleError(f"closure relates {labels[i]} < {labels[i]}")
-    return Poset(labels, tuple(rows))
+        i, j = index[a], index[b]
+        if not (rows[i] >> j) & 1:
+            rows[i] |= 1 << j
+            indeg[j] += 1
+    # Kahn's algorithm: a topological order, short exactly when there is a cycle
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:
+        for j in _bits(rows[i]):
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) < n:
+        # name the first element that reaches itself, off the fast path
+        for k in range(n):
+            for i in range(n):
+                if (rows[i] >> k) & 1:
+                    rows[i] |= rows[k]
+        i = next(i for i in range(n) if (rows[i] >> i) & 1)
+        raise CycleError(f"closure relates {labels[i]} < {labels[i]}")
+    for i in reversed(order):  # the rows above i are closed already
+        for j in _bits(rows[i]):
+            rows[i] |= rows[j]
+    return Poset._trusted(labels, tuple(rows))
 
 
 def is_pure(p: Poset) -> bool:
@@ -266,12 +281,12 @@ def _uplus_mask(p: Poset, qmask: int) -> Poset:
         for y in _bits(p.lt[x] & qmask):
             row |= 1 << star_of[y]
         rows.append(row)
-    return Poset(tuple(labels), tuple(rows))
+    return Poset._trusted(tuple(labels), tuple(rows))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """The simplicial complex of chains of p; facets are maximal chains."""
-    return SimplicialComplex(p.elements, _chain_facets(p.lt, (1 << len(p)) - 1))
+    return SimplicialComplex._trusted(p.elements, _chain_facets(p.lt, (1 << len(p)) - 1))
 
 
 def _cover_masks(lt: Sequence[int], mask: int) -> list[int]:
@@ -287,7 +302,7 @@ def _cover_masks(lt: Sequence[int], mask: int) -> list[int]:
         while t:
             j = (t & -t).bit_length() - 1
             reach |= lt[j]
-            t &= t - 1
+            t &= ~(lt[j] | (1 << j))  # lt is closed: what is above j adds nothing
         covers[i] = row & ~reach
         m &= m - 1
     return covers
@@ -352,7 +367,7 @@ def euler_char_restricted(down_masks: Sequence[int], mask: int) -> int:
 
 def opposite(p: Poset) -> Poset:
     """The poset with all relations reversed; an involution."""
-    return Poset(p.elements, p.down_masks())
+    return Poset._trusted(p.elements, p.down_masks())
 
 
 # ----------------------------------------------------------------------
@@ -405,25 +420,16 @@ def enumerate_posets(labels: Sequence[str]) -> Iterator[Poset]:
             return
         cols = [0] * m
         for i in range(m):
-            t = rows[i]
-            while t:
-                j = (t & -t).bit_length() - 1
+            for j in _bits(rows[i]):
                 cols[j] |= 1 << i
-                t &= t - 1
         downs = closed_subsets(cols, m)
         ups = closed_subsets(rows, m)
+        # the new element may sit above i only if all of u is above i; that
+        # also keeps d and u disjoint
+        below = [sum(1 << i for i in range(m) if not u & ~rows[i]) for u in ups]
         for d in downs:
-            for u in ups:
-                if d & u:
-                    continue
-                ok = True
-                t = d
-                while t and ok:
-                    i = (t & -t).bit_length() - 1
-                    if u & ~rows[i]:
-                        ok = False
-                    t &= t - 1
-                if not ok:
+            for u, allowed in zip(ups, below):
+                if d & ~allowed:
                     continue
                 new_rows = tuple(
                     rows[i] | (1 << m) if (d >> i) & 1 else rows[i] for i in range(m)
@@ -431,7 +437,7 @@ def enumerate_posets(labels: Sequence[str]) -> Iterator[Poset]:
                 yield from rec(m + 1, new_rows)
 
     for rows in rec(0, ()):
-        yield Poset(labels, rows)
+        yield Poset._trusted(labels, rows)
 
 
 def random_poset(rng, labels: Sequence[str], edge_prob: float = 0.35) -> Poset:

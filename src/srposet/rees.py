@@ -16,12 +16,13 @@ and of P (+) Q.
 The public functions check Q at their entry and then work on its bitmask.
 _rees_facts checks Q once and gathers what a pair needs whatever the
 field: both Euler conditions, the direct numerator and P (+) Q.  The
-report, the uplus command and the sweep read it.  The chains of P are
-listed once per poset (a small cache keyed by the poset).  The direct
-numerator adds up the chain signs for each sigma u Q and then applies one
-subset Moebius transform over the coordinates outside Q (Bjoerklund,
-Husfeldt, Kaski and Koivisto, "Fourier meets Moebius: fast subset
-convolution", STOC 2007).  The lower-set rewrite keeps its own
+report, the uplus command and the sweep read it.  The chains of P, chi~(P)
+and the x with chi~((-inf, x)) nonzero are computed once per poset (a
+small cache keyed by the poset), so the interval condition is one mask
+test.  The direct numerator adds up the chain signs for each sigma u Q and
+then applies one subset Moebius transform over the coordinates outside Q
+(Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier meets Moebius: fast
+subset convolution", STOC 2007).  The lower-set rewrite keeps its own
 chain-by-chain expansion, so the routes stay independent.
 """
 
@@ -115,24 +116,29 @@ def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
 
 def _rees_facts(p: Poset, q: Iterable[str]) -> _ReesFacts:
     qmask = _validated_masks(p, q)
-    cols = p.down_masks()
     return _ReesFacts(
         qmask,
-        _euler_vanishes(cols, qmask, qmask),
-        _euler_vanishes(cols, qmask, (1 << len(p)) - 1),
+        _euler_vanishes(p.down_masks(), qmask),
+        _interval_vanishes(p, qmask),
         _numerator(p, qmask) if qmask else None,
         _uplus_mask(p, qmask),
     )
 
 
-@lru_cache(maxsize=16)
-def _all_chain_masks(p: Poset) -> tuple[int, ...]:
-    """Bitmasks of all chains of p, the empty chain included.
+class _PosetFacts(NamedTuple):
+    """What the pairs of one poset P share, whatever Q."""
 
-    Cached, so that the pairs of one poset share its chains.
-    """
+    chains: tuple[int, ...]  # bitmasks of all chains, the empty one included
+    nonzero: int  # mask of the x with chi~((-inf, x)) != 0
+    chi: int  # chi~(P)
+
+
+@lru_cache(maxsize=16)
+def _poset_facts(p: Poset) -> _PosetFacts:
+    """Cached, so that the pairs of one poset share its chains and Euler data."""
     n = len(p)
     cols = p.down_masks()
+    nonzero = sum(1 << x for x in range(n) if euler_char_restricted(cols, cols[x]))
     order = sorted(range(n), key=lambda i: cols[i].bit_count())
     chains = [0]
     ending: dict[int, list[int]] = {}
@@ -142,27 +148,32 @@ def _all_chain_masks(p: Poset) -> tuple[int, ...]:
             mine.extend(c | (1 << i) for c in ending[j])
         ending[i] = mine
         chains.extend(mine)
-    return tuple(chains)
+    return _PosetFacts(tuple(chains), nonzero, euler_char_restricted(cols, (1 << n) - 1))
 
 
-def _euler_vanishes(cols: tuple[int, ...], qmask: int, within: int) -> bool:
-    """chi~({y in within | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
+def _euler_vanishes(cols: tuple[int, ...], qmask: int) -> bool:
+    """chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
     outside = ((1 << len(cols)) - 1) & ~qmask
     return all(
-        euler_char_restricted(cols, cols[x] & within) == 0 for x in _bits(outside)
-    ) and euler_char_restricted(cols, within) == 0
+        euler_char_restricted(cols, cols[x] & qmask) == 0 for x in _bits(outside)
+    ) and euler_char_restricted(cols, qmask) == 0
+
+
+def _interval_vanishes(p: Poset, qmask: int) -> bool:
+    """chi~((-inf, x)_P) = 0 for every x in (P u {inf}) \\ Q."""
+    facts = _poset_facts(p)
+    return facts.chi == 0 and not facts.nonzero & ~qmask
 
 
 def euler_condition_Q(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
     qmask = _validated_masks(p, q)
-    return _euler_vanishes(p.down_masks(), qmask, qmask)
+    return _euler_vanishes(p.down_masks(), qmask)
 
 
 def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~((-inf, x)_P) = 0 for every x in (P u {inf}) \\ Q."""
-    qmask = _validated_masks(p, q)
-    return _euler_vanishes(p.down_masks(), qmask, (1 << len(p)) - 1)
+    return _interval_vanishes(p, _validated_masks(p, q))
 
 
 def _polynomial(p: Poset, acc: dict[int, int]) -> IntPolynomial:
@@ -195,7 +206,7 @@ def _numerator(p: Poset, qmask: int) -> IntPolynomial:
     # nothing on, so only the nonzero ones are stored.
     rest = ((1 << len(p)) - 1) & ~qmask
     acc: dict[int, int] = {}
-    for sigma in _all_chain_masks(p):
+    for sigma in _poset_facts(p).chains:
         b = sigma & rest
         acc[b] = acc.get(b, 0) + (-1 if (qmask & ~sigma).bit_count() % 2 else 1)
     for i in _bits(rest):
@@ -217,7 +228,7 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
     chi_of: dict[int, int] = {}
     lead = -1 if (qmask.bit_count() + 1) % 2 else 1
     acc: dict[int, int] = {}
-    for tau in _all_chain_masks(p):
+    for tau in _poset_facts(p).chains:
         if tau & qmask:
             continue
         # {y in Q | y < min tau}; min(empty u {inf}) = inf gives all of Q

@@ -75,7 +75,7 @@ GF2 = FieldSpec(2)
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Vertex labels plus an antichain of facet bitmasks."""
+    """Vertex labels plus a sorted inclusion-antichain of facet bitmasks."""
 
     vertices: tuple[str, ...]
     facets: tuple[int, ...]
@@ -89,9 +89,16 @@ class SimplicialComplex:
         for f in self.facets:
             if f & ~full:
                 raise ValueError("facet bit out of range")
-        mins = _minimalize_facets(self.facets)
-        if tuple(sorted(self.facets)) != mins:
+        if tuple(self.facets) != _minimalize_facets(self.facets):
             raise ValueError("facets must be an inclusion-antichain, sorted")
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], facets: tuple[int, ...]) -> "SimplicialComplex":
+        """Skips __post_init__: for complexes the engine derives from valid input."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "vertices", vertices)
+        object.__setattr__(k, "facets", facets)
+        return k
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({list(self.vertices)!r}, {self.facet_labels()!r})"
@@ -149,10 +156,9 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
     link_facets = _link_facets(k.facets, mask)
     keep = [i for i in range(len(k.vertices)) if not (mask >> i) & 1]
     pos = {g: kk for kk, g in enumerate(keep)}
-    remapped = tuple(
-        sorted(set(_remap_mask(f, pos) for f in link_facets))
-    )
-    return SimplicialComplex(tuple(k.vertices[i] for i in keep), remapped)
+    # clearing the face and renumbering unused bits keep the facets sorted
+    remapped = tuple(_remap_mask(f, pos) for f in link_facets)
+    return SimplicialComplex._trusted(tuple(k.vertices[i] for i in keep), remapped)
 
 
 def reduced_euler_char_complex(k: SimplicialComplex) -> int:
@@ -181,8 +187,8 @@ class BettiVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BettiVector):
             return NotImplemented
-        degrees = set(self.values) | set(other.values)
-        return all(self[d] == other[d] for d in degrees)
+        mine = {d: v for d, v in self.values.items() if v}  # a missing degree is zero
+        return mine == {d: v for d, v in other.values.items() if v}
 
     def total(self) -> int:
         return sum(self.values.values())

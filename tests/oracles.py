@@ -48,6 +48,22 @@ def direct_numerator(p, q) -> dict[tuple[int, ...], int]:
     return {key: c for key, c in terms.items() if c}
 
 
+def brute_euler_condition_interval(p, q, chains=None) -> bool:
+    """chi~((-inf, x)_P) = 0 for every x of P u {inf} outside Q, with each
+    chi~ summed over the chains of P inside the lower interval, found by
+    subset enumeration (pass brute_chains(p) to reuse it across Q)."""
+    chains = brute_chains(p) if chains is None else chains
+    below = [
+        frozenset(y for y in p.elements if p.less(y, x))
+        for x in p.elements
+        if x not in q
+    ]
+    return all(
+        sum(-((-1) ** len(c)) for c in chains if c <= low) == 0
+        for low in below + [frozenset(p.elements)]
+    )
+
+
 def brute_maximal_chains(p) -> set[frozenset[str]]:
     chains = [c for c in brute_chains(p) if c]
     return {

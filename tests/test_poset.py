@@ -27,6 +27,7 @@ from srposet import (
     uplus,
 )
 from srposet.poset import Poset, _chain_facets
+from srposet.simplicial import _bits
 
 from oracles import brute_euler_poset, brute_maximal_chains
 
@@ -83,6 +84,58 @@ class TestConstruction:
             )
 
 
+@st.composite
+def irreflexive_relations(draw, max_n=7):
+    """Rows of a random irreflexive relation, not necessarily closed."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return [
+        draw(st.integers(min_value=0, max_value=(1 << n) - 1)) & ~(1 << i)
+        for i in range(n)
+    ]
+
+
+def brute_closure(rows):
+    """Transitive closure of a relation given by rows, pair by pair."""
+    n = len(rows)
+    rel = {(i, j) for i in range(n) for j in range(n) if (rows[i] >> j) & 1}
+    while True:
+        more = {(i, k) for i, j in rel for j2, k in rel if j == j2} - rel
+        if not more:
+            return [sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n)]
+        rel |= more
+
+
+class TestClosureCheck:
+    @given(irreflexive_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_the_unclosed(self, rows):
+        labels = tuple(f"e{i}" for i in range(len(rows)))
+        if brute_closure(rows) == rows:
+            assert Poset(labels, tuple(rows)).lt == tuple(rows)
+        else:
+            with pytest.raises(ValueError, match="not transitively closed"):
+                Poset(labels, tuple(rows))
+
+    @given(irreflexive_relations(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_covers_closed_or_cycle_named(self, rows, rng):
+        labels = [f"e{i}" for i in range(len(rows))]
+        covers = [(labels[i], labels[j]) for i, row in enumerate(rows) for j in _bits(row)]
+        rng.shuffle(covers)
+        closed = brute_closure(rows)
+        loops = [i for i, row in enumerate(closed) if (row >> i) & 1]
+        if loops:
+            name = labels[loops[0]]
+            with pytest.raises(CycleError, match=f"^closure relates {name} < {name}$"):
+                poset_from_cover_relations(labels, covers)
+        else:
+            assert poset_from_cover_relations(labels, covers) == Poset(tuple(labels), tuple(closed))
+
+    def test_self_cover_is_a_cycle(self):
+        with pytest.raises(CycleError):
+            poset_from_cover_relations(["a", "b"], [("a", "b"), ("b", "b")])
+
+
 class TestPurity:
     def test_chain_pure(self):
         assert is_pure(chain("a", "b", "c"))
@@ -102,6 +155,14 @@ class TestPurity:
         full = (1 << n) - 1
         rows = tuple(full & ~((1 << (i + 1)) - 1) for i in range(n))
         assert is_pure(Poset(tuple(f"e{i}" for i in range(n)), rows))
+
+    def test_long_chain_from_shuffled_covers(self):
+        labels = [f"e{i}" for i in range(3000)]
+        covers = list(zip(labels, labels[1:]))
+        random.Random(7).shuffle(covers)
+        p = poset_from_cover_relations(labels, covers)
+        assert p.less("e0", "e2999") and not p.less("e2999", "e0")
+        assert is_pure(p)
 
     @given(small_posets())
     @settings(max_examples=60, deadline=None)

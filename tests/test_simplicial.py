@@ -23,7 +23,7 @@ from srposet import (
     reduced_euler_char_complex,
 )
 
-from srposet.simplicial import _is_prime
+from srposet.simplicial import SimplicialComplex, _is_prime
 
 from oracles import betti_via_snf, brute_euler_complex, rank_fraction
 
@@ -69,6 +69,12 @@ class TestConstruction:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
             complex_from_facets("ab", [["z"]])
+
+    def test_facets_must_be_sorted(self):
+        k = SimplicialComplex(("a", "b", "c"), (1, 6))
+        assert k == complex_from_facets("abc", [["b", "c"], ["a"]])
+        with pytest.raises(ValueError, match="sorted"):
+            SimplicialComplex(("a", "b", "c"), (6, 1))
 
     def test_isolated_vertex_requires_singleton(self):
         k = complex_from_facets("ab", [["a"]])
@@ -160,6 +166,17 @@ class TestBetti:
     def test_betti_vector_equality_pads_degrees(self):
         assert BettiVector({0: 0, 1: 0}) == BettiVector({})
         assert BettiVector({1: 1}) != BettiVector({})
+
+    def test_betti_vector_equality_reads_nonzero_entries(self):
+        assert BettiVector({-1: 0, 0: 2, 3: 0}) == BettiVector({0: 2, 1: 0})
+        assert BettiVector({0: 2}) != BettiVector({0: 2, 1: 1})
+        assert BettiVector({0: 2, 1: 1}) != BettiVector({0: 2})
+        assert BettiVector({0: 1}) != BettiVector({1: 1})
+
+    def test_betti_vector_equality_with_other_types(self):
+        b = BettiVector({0: 1})
+        assert b.__eq__({0: 1}) is NotImplemented
+        assert b != {0: 1} and b != 1
 
     def test_euler_poincare(self):
         rng = random.Random(23)

@@ -1,0 +1,159 @@
+"""The trust boundary: what the engine builds without validation would pass
+the public validators.
+
+Poset._trusted and SimplicialComplex._trusted skip __post_init__.  Here
+they are wrapped so that every result they give is rebuilt through the
+public constructor, which must accept it and give an equal object; the
+functions that derive objects inside the engine are then run on exhaustive
+and seeded inputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+
+import pytest
+
+from srposet import (
+    GF2,
+    NEG_INF,
+    POS_INF,
+    QQ,
+    all_poset_ideals,
+    cli,
+    complex_from_facets,
+    enumerate_posets,
+    euler_condition_interval,
+    is_cohen_macaulay_poset,
+    link,
+    open_interval,
+    opposite,
+    order_complex,
+    random_poset,
+    random_poset_ideal,
+    uplus,
+)
+from srposet.poset import Poset
+from srposet.rees import _rees_facts
+from srposet.simplicial import SimplicialComplex
+
+from oracles import brute_chains, brute_euler_condition_interval, brute_faces
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every object the trusted constructors give, each checked against the
+    public constructor; keyed by class."""
+    seen = {Poset: [], SimplicialComplex: []}
+    for cls in seen:
+        trusted = cls._trusted.__func__
+
+        def checked(c, *fields, _trusted=trusted):
+            obj = _trusted(c, *fields)
+            assert all(type(f) is tuple for f in fields)
+            assert c(*fields) == obj
+            seen[c].append(obj)
+            return obj
+
+        monkeypatch.setattr(cls, "_trusted", classmethod(checked))
+    return seen
+
+
+def seeded_posets(seed, count, sizes=(5, 8)):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        labels = [f"e{i}" for i in range(n)]
+        rng.shuffle(labels)
+        yield rng, random_poset(rng, labels, edge_prob=rng.choice([0.2, 0.35, 0.6]))
+
+
+def _union(facets):
+    u = 0
+    for f in facets:
+        u |= f
+    return u
+
+
+def test_enumerated_posets(built):
+    for n in range(5):
+        assert sum(1 for _ in enumerate_posets("abcd"[:n])) == len(built[Poset])
+        built[Poset].clear()
+
+
+def test_derived_posets(built):
+    for rng, p in seeded_posets(101, 40):
+        assert built[Poset]  # random_poset itself
+        elements = list(p.elements)
+        p.restrict(rng.sample(elements, rng.randint(0, len(p))))
+        for a in [NEG_INF, *elements]:
+            for b in [POS_INF, *elements]:
+                if a is NEG_INF or b is POS_INF or p.less(a, b):
+                    open_interval(p, a, b)
+        opposite(p)
+        for _ in range(3):
+            uplus(p, random_poset_ideal(rng, p))
+        uplus(p, p.elements)
+    assert len(built[Poset]) > 1000
+
+
+def test_order_complexes_and_links(built):
+    complexes = [order_complex(p) for n in range(5) for p in enumerate_posets("abcd"[:n])]
+    complexes += [order_complex(p) for _, p in seeded_posets(102, 20, (5, 6))]
+    rng = random.Random(103)
+    for _ in range(60):
+        verts = [f"v{i}" for i in range(rng.randint(1, 6))]
+        facets = [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(1, 5))]
+        complexes.append(complex_from_facets(verts, facets))
+    for k in complexes:
+        for face in brute_faces(k):
+            link(k, face)
+    assert len(built[SimplicialComplex]) > 1000
+
+
+def test_interval_complexes(built):
+    for _, p in seeded_posets(104, 60, (4, 7)):
+        for field in (QQ, GF2):
+            is_cohen_macaulay_poset(p, field)
+    assert built[SimplicialComplex]
+
+
+def test_sweep_deleted_star_complexes(built):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sweep", "--max-elements", "4", "--char", "0"]) == 0
+    assert out.getvalue().startswith("sweep ok: 1789 ")
+    # the order complex of P (+) Q covers every vertex; the one with the
+    # starred minimum cleared misses it
+    deleted = [
+        k for k in built[SimplicialComplex]
+        if any(v.endswith("*") for v in k.vertices)
+        and sum(1 << i for i in range(len(k.vertices))) & ~_union(k.facets)
+    ]
+    assert len(deleted) > 100
+
+
+class TestIntervalCondition:
+    """The interval condition, read from per-poset data, against chains
+    enumerated for each lower interval."""
+
+    def test_every_pair_up_to_four_elements(self):
+        for n in range(5):
+            for p in enumerate_posets("abcd"[:n]):
+                chains = brute_chains(p)
+                for q in all_poset_ideals(p):
+                    want = brute_euler_condition_interval(p, q, chains)
+                    assert euler_condition_interval(p, q) == want
+                    assert _rees_facts(p, q).cond_interval == want
+
+    def test_seeded_pairs_of_five_to_seven_elements(self):
+        hits = 0
+        for rng, p in seeded_posets(105, 200, (5, 7)):
+            q = random_poset_ideal(rng, p)
+            want = brute_euler_condition_interval(p, q)
+            hits += want
+            assert euler_condition_interval(p, q) == want
+            assert _rees_facts(p, q).cond_interval == want
+        assert 0 < hits < 200
