@@ -326,8 +326,6 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("detsym", help="symmetric-minors dimension/depth reproduction")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=int, default=2,
-                    help="minor size; only t=2 runs the full report")
     sp.add_argument("--cap", type=int, default=detsym_mod.DEFAULT_CAP)
     add_common(sp)
     sp.set_defaults(func=cmd_detsym)
@@ -338,9 +336,6 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    if getattr(args, "t", 2) != 2:
-        print("error: only t=2 is supported for the full report", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

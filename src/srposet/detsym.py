@@ -19,6 +19,7 @@ from .invariants import depth_stanley_reisner
 from .monomial import (
     HodgeData,
     MonomialIdeal,
+    _core_ideal,
     dim_monomial_quotient,
     ideal_from_generators,
     polar_variable_name,
@@ -168,14 +169,7 @@ def _section3_fixed(n: int) -> dict:
     mask_a = complex_.face_mask(facet_a)
     mask_b = complex_.face_mask(facet_b)
 
-    support = [
-        v for i, v in enumerate(ideal.variables)
-        if any(g[i] for g in ideal.generators)
-    ]
-    keep_idx = [ideal.variables.index(v) for v in support]
-    core_ideal = ideal_from_generators(
-        tuple(support), [tuple(g[i] for i in keep_idx) for g in ideal.generators]
-    )
+    core_ideal = _core_ideal(ideal)
     core_polarized, core_aux = polarize(core_ideal)
     return {
         "dim": dim_monomial_quotient(ideal),
@@ -184,7 +178,7 @@ def _section3_fixed(n: int) -> dict:
         "core_polarized": (stanley_reisner_complex(core_polarized), core_aux),
         "facet_cards": tuple(sorted([len(facet_a), len(facet_b)])),
         "facets_verified": mask_a in complex_.facets and mask_b in complex_.facets,
-        "regular_pair": tuple(v for v in ideal.variables if v not in support),
+        "regular_pair": tuple(v for v in ideal.variables if v not in core_ideal.variables),
     }
 
 

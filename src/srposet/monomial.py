@@ -285,18 +285,9 @@ def core_hodge(data: HodgeData) -> tuple[HodgeData, list[str]]:
     Returns the restricted data together with the complementary elements
     H minus core H, which form a regular sequence on the discrete algebra.
     """
-    support = set()
-    for g in data.sigma.generators:
-        for v, e in zip(data.sigma.variables, g):
-            if e:
-                support.add(v)
-    core_elems = [e for e in data.poset.elements if e in support]
-    regular = [e for e in data.poset.elements if e not in support]
-    core_poset = data.poset.restrict(core_elems)
-    keep_idx = [data.sigma.variables.index(v) for v in core_poset.elements]
-    gens = [tuple(g[i] for i in keep_idx) for g in data.sigma.generators]
-    core_sigma = ideal_from_generators(core_poset.elements, gens)
-    return HodgeData(core_poset, core_sigma), regular
+    core_sigma = _core_ideal(data.sigma)
+    regular = [e for e in data.poset.elements if e not in core_sigma.variables]
+    return HodgeData(data.poset.restrict(core_sigma.variables), core_sigma), regular
 
 
 def hodge_quotient(data: HodgeData, ideal_labels: Iterable[str]) -> HodgeData:
@@ -304,15 +295,25 @@ def hodge_quotient(data: HodgeData, ideal_labels: Iterable[str]) -> HodgeData:
     generators supported there."""
     drop = set(ideal_labels)
     keep = [e for e in data.poset.elements if e not in drop]
-    poset = data.poset.restrict(keep)
-    keep_idx = [data.sigma.variables.index(v) for v in keep]
-    drop_idx = [i for i, v in enumerate(data.sigma.variables) if v in drop]
+    return HodgeData(data.poset.restrict(keep), _restrict_ideal(data.sigma, keep))
+
+
+def _restrict_ideal(ideal: MonomialIdeal, keep: Sequence[str]) -> MonomialIdeal:
+    """The generators that use only the variables in keep, restricted to
+    them, as an ideal on keep (in that order)."""
+    idx = [ideal.variables.index(v) for v in keep]
     gens = [
-        tuple(g[i] for i in keep_idx)
-        for g in data.sigma.generators
-        if not any(g[i] for i in drop_idx)
+        tuple(g[i] for i in idx)
+        for g in ideal.generators
+        if sum(g[i] for i in idx) == sum(g)  # exponents are nonnegative
     ]
-    return HodgeData(poset, ideal_from_generators(tuple(keep), gens))
+    return ideal_from_generators(tuple(keep), gens)
+
+
+def _core_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
+    """The ideal restricted to the variables its generators use."""
+    used = [v for i, v in enumerate(ideal.variables) if any(g[i] for g in ideal.generators)]
+    return _restrict_ideal(ideal, used)
 
 
 # ----------------------------------------------------------------------

@@ -108,11 +108,7 @@ class Poset:
         """
         cols = self.__dict__.get("_down")
         if cols is None:
-            down = [0] * len(self.elements)
-            for i, row in enumerate(self.lt):
-                for j in _bits(row):
-                    down[j] |= 1 << i
-            cols = tuple(down)
+            cols = _transpose(self.lt)
             object.__setattr__(self, "_down", cols)
         return cols
 
@@ -211,6 +207,26 @@ def is_poset_ideal(p: Poset, subset: Iterable[str]) -> bool:
     return _is_closed(p.down_masks(), _subset_mask(p, subset))
 
 
+def _ideal_mask(p: Poset, q: Iterable[str]) -> int:
+    """The bitmask of the labels q, checked to be a poset ideal of p."""
+    qmask = _subset_mask(p, q)
+    if not _is_closed(p.down_masks(), qmask):
+        raise NotAnIdealError("Q is not a poset ideal of P")
+    return qmask
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The transposed relation: bit i of entry j iff bit j of rows[i]."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
+
+
 def _is_closed(reach: Sequence[int], mask: int) -> bool:
     """True iff reach[j] lies inside the mask for every j in it."""
     m = mask
@@ -220,6 +236,11 @@ def _is_closed(reach: Sequence[int], mask: int) -> bool:
             return False
         m ^= low
     return True
+
+
+def _closed_masks(reach: Sequence[int]) -> list[int]:
+    """Every mask over the len(reach) bits that _is_closed accepts."""
+    return [s for s in range(1 << len(reach)) if _is_closed(reach, s)]
 
 
 def _subset_mask(p: Poset, subset: Iterable[str]) -> int:
@@ -260,10 +281,7 @@ def uplus(p: Poset, q: Iterable[str]) -> Poset:
     labels are the original labels suffixed with ``*``; input labels must not
     contain the marker.
     """
-    qmask = _subset_mask(p, q)
-    if not _is_closed(p.down_masks(), qmask):
-        raise NotAnIdealError("subset is not downward closed")
-    return _uplus_mask(p, qmask)
+    return _uplus_mask(p, _ideal_mask(p, q))
 
 
 def _uplus_mask(p: Poset, qmask: int) -> Poset:
@@ -340,29 +358,21 @@ def reduced_euler_char_poset(p: Poset) -> int:
     Sum of (-1)^(|chain|-1) over all chains; the empty chain contributes
     -1, so the empty poset has value -1.
     """
-    n = len(p)
-    return euler_char_restricted(p.down_masks(), (1 << n) - 1)
+    return sum(_chain_signs(p.down_masks())) - 1
 
 
-def euler_char_restricted(down_masks: Sequence[int], mask: int) -> int:
-    """Reduced Euler characteristic of the induced subposet on a bitmask.
+def _chain_signs(down_masks: Sequence[int]) -> tuple[int, ...]:
+    """signs[i] = sum of (-1)^(|c|-1) over the chains c whose top is i,
+    computed bottom up: such a chain is {i} or one topped by a j < i, plus i.
 
-    signed[i] accumulates the signed count of chains with maximum i; a
-    chain extending one that ends at j flips the sign.
+    The chains of a down-closed mask D are those topped in D, so chi~(D)
+    is the sum of the signs over D, minus 1.  Every mask summed is
+    down-closed: P, Q, the lower intervals (-inf, x) and their meets with Q.
     """
-    order = sorted(_bits(mask), key=lambda i: (down_masks[i] & mask).bit_count())
-    signed = {}
-    total = -1
-    for i in order:
-        s = 1
-        m = down_masks[i] & mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            s -= signed[j]
-            m &= m - 1
-        signed[i] = s
-        total += s
-    return total
+    signs = [0] * len(down_masks)
+    for i in sorted(range(len(down_masks)), key=lambda i: down_masks[i].bit_count()):
+        signs[i] = 1 - sum(signs[j] for j in _bits(down_masks[i]))
+    return tuple(signs)
 
 
 def opposite(p: Poset) -> Poset:
@@ -411,19 +421,12 @@ def enumerate_posets(labels: Sequence[str]) -> Iterator[Poset]:
     labels = tuple(labels)
     n = len(labels)
 
-    def closed_subsets(req: Sequence[int], m: int) -> list[int]:
-        return [s for s in range(1 << m) if _is_closed(req, s)]
-
     def rec(m: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if m == n:
             yield rows
             return
-        cols = [0] * m
-        for i in range(m):
-            for j in _bits(rows[i]):
-                cols[j] |= 1 << i
-        downs = closed_subsets(cols, m)
-        ups = closed_subsets(rows, m)
+        downs = _closed_masks(_transpose(rows))
+        ups = _closed_masks(rows)
         # the new element may sit above i only if all of u is above i; that
         # also keeps d and u disjoint
         below = [sum(1 << i for i in range(m) if not u & ~rows[i]) for u in ups]
@@ -456,10 +459,8 @@ def random_poset(rng, labels: Sequence[str], edge_prob: float = 0.35) -> Poset:
 
 def all_poset_ideals(p: Poset) -> Iterator[frozenset[str]]:
     """All poset ideals (down-sets) of p, the empty set and p included."""
-    cols = p.down_masks()
-    for s in range(1 << len(p)):
-        if _is_closed(cols, s):
-            yield frozenset(p.elements[i] for i in _bits(s))
+    for s in _closed_masks(p.down_masks()):
+        yield frozenset(p.elements[i] for i in _bits(s))
 
 
 def random_poset_ideal(rng, p: Poset) -> frozenset[str]:

@@ -13,17 +13,19 @@ associated graded ring of the discrete algebra:
 rees_cm_report packages the detectors with the Cohen-Macaulay tests of P
 and of P (+) Q.
 
-The public functions check Q at their entry and then work on its bitmask.
-_rees_facts checks Q once and gathers what a pair needs whatever the
-field: both Euler conditions, the direct numerator and P (+) Q.  The
-report, the uplus command and the sweep read it.  The chains of P, chi~(P)
-and the x with chi~((-inf, x)) nonzero are computed once per poset (a
-small cache keyed by the poset), so the interval condition is one mask
-test.  The direct numerator adds up the chain signs for each sigma u Q and
-then applies one subset Moebius transform over the coordinates outside Q
-(Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier meets Moebius: fast
-subset convolution", STOC 2007).  The lower-set rewrite keeps its own
-chain-by-chain expansion, so the routes stay independent.
+The public functions check Q at their entry (poset._ideal_mask) and then
+work on its bitmask.  _rees_facts checks Q once and gathers what a pair
+needs whatever the field: both Euler conditions, the direct numerator and
+P (+) Q.  The report, the uplus command and the sweep read it.
+
+Every chi~ is a sum over one sign vector per poset (poset._chain_signs),
+cached with chi~(P) and the x with chi~((-inf, x)) nonzero, so the interval
+condition is one mask test.  Only the two numerators read the list of all
+chains, cached apart (_all_chains).  The direct one adds up the chain signs
+for each sigma u Q and then applies one subset Moebius transform over the
+coordinates outside Q (Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier
+meets Moebius: fast subset convolution", STOC 2007).  The lower-set rewrite
+keeps its own chain-by-chain expansion, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -32,16 +34,9 @@ import warnings
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import DegenerateQWarning, EmptyQError, NotAnIdealError
+from .errors import DegenerateQWarning, EmptyQError
 from .invariants import is_cohen_macaulay_complex
-from .poset import (
-    Poset,
-    _is_closed,
-    _subset_mask,
-    _uplus_mask,
-    euler_char_restricted,
-    order_complex,
-)
+from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
 from .simplicial import FieldSpec, _bits
 
 
@@ -100,25 +95,18 @@ class _ReesFacts(NamedTuple):
     uplus: Poset
 
 
-def _validated_masks(p: Poset, q: Iterable[str]) -> int:
-    qmask = _subset_mask(p, q)
-    if not _is_closed(p.down_masks(), qmask):
-        raise NotAnIdealError("Q is not a poset ideal of P")
-    return qmask
-
-
 def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
-    qmask = _validated_masks(p, q)
+    qmask = _ideal_mask(p, q)
     if not qmask:
         raise EmptyQError("Q must be nonempty")
     return qmask
 
 
 def _rees_facts(p: Poset, q: Iterable[str]) -> _ReesFacts:
-    qmask = _validated_masks(p, q)
+    qmask = _ideal_mask(p, q)
     return _ReesFacts(
         qmask,
-        _euler_vanishes(p.down_masks(), qmask),
+        _euler_vanishes(p, qmask),
         _interval_vanishes(p, qmask),
         _numerator(p, qmask) if qmask else None,
         _uplus_mask(p, qmask),
@@ -128,35 +116,48 @@ def _rees_facts(p: Poset, q: Iterable[str]) -> _ReesFacts:
 class _PosetFacts(NamedTuple):
     """What the pairs of one poset P share, whatever Q."""
 
-    chains: tuple[int, ...]  # bitmasks of all chains, the empty one included
+    signs: tuple[int, ...]  # poset._chain_signs of P
     nonzero: int  # mask of the x with chi~((-inf, x)) != 0
     chi: int  # chi~(P)
 
 
+def _chi(signs: tuple[int, ...], mask: int) -> int:
+    """chi~ of a down-closed mask, from the chain signs of its poset."""
+    return sum(signs[i] for i in _bits(mask)) - 1
+
+
 @lru_cache(maxsize=16)
 def _poset_facts(p: Poset) -> _PosetFacts:
-    """Cached, so that the pairs of one poset share its chains and Euler data."""
-    n = len(p)
+    """Cached, so that the pairs of one poset share its Euler data."""
     cols = p.down_masks()
-    nonzero = sum(1 << x for x in range(n) if euler_char_restricted(cols, cols[x]))
-    order = sorted(range(n), key=lambda i: cols[i].bit_count())
+    signs = _chain_signs(cols)
+    nonzero = sum(1 << x for x, down in enumerate(cols) if _chi(signs, down))
+    return _PosetFacts(signs, nonzero, sum(signs) - 1)
+
+
+@lru_cache(maxsize=16)
+def _all_chains(p: Poset) -> tuple[int, ...]:
+    """Bitmasks of all chains of p, the empty one included; cached per poset."""
+    cols = p.down_masks()
     chains = [0]
     ending: dict[int, list[int]] = {}
-    for i in order:
+    for i in sorted(range(len(p)), key=lambda i: cols[i].bit_count()):
         mine = [1 << i]
         for j in _bits(cols[i]):
             mine.extend(c | (1 << i) for c in ending[j])
         ending[i] = mine
         chains.extend(mine)
-    return _PosetFacts(tuple(chains), nonzero, euler_char_restricted(cols, (1 << n) - 1))
+    return tuple(chains)
 
 
-def _euler_vanishes(cols: tuple[int, ...], qmask: int) -> bool:
+def _euler_vanishes(p: Poset, qmask: int) -> bool:
     """chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
-    outside = ((1 << len(cols)) - 1) & ~qmask
-    return all(
-        euler_char_restricted(cols, cols[x] & qmask) == 0 for x in _bits(outside)
-    ) and euler_char_restricted(cols, qmask) == 0
+    cols = p.down_masks()
+    signs = _poset_facts(p).signs
+    outside = ((1 << len(p)) - 1) & ~qmask
+    return _chi(signs, qmask) == 0 and all(
+        _chi(signs, cols[x] & qmask) == 0 for x in _bits(outside)
+    )
 
 
 def _interval_vanishes(p: Poset, qmask: int) -> bool:
@@ -167,13 +168,12 @@ def _interval_vanishes(p: Poset, qmask: int) -> bool:
 
 def euler_condition_Q(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
-    qmask = _validated_masks(p, q)
-    return _euler_vanishes(p.down_masks(), qmask)
+    return _euler_vanishes(p, _ideal_mask(p, q))
 
 
 def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~((-inf, x)_P) = 0 for every x in (P u {inf}) \\ Q."""
-    return _interval_vanishes(p, _validated_masks(p, q))
+    return _interval_vanishes(p, _ideal_mask(p, q))
 
 
 def _polynomial(p: Poset, acc: dict[int, int]) -> IntPolynomial:
@@ -206,7 +206,7 @@ def _numerator(p: Poset, qmask: int) -> IntPolynomial:
     # nothing on, so only the nonzero ones are stored.
     rest = ((1 << len(p)) - 1) & ~qmask
     acc: dict[int, int] = {}
-    for sigma in _poset_facts(p).chains:
+    for sigma in _all_chains(p):
         b = sigma & rest
         acc[b] = acc.get(b, 0) + (-1 if (qmask & ~sigma).bit_count() % 2 else 1)
     for i in _bits(rest):
@@ -225,10 +225,10 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
     qmask = _nonempty_mask(p, q)
     full = (1 << len(p)) - 1
     cols = p.down_masks()
-    chi_of: dict[int, int] = {}
+    signs = _poset_facts(p).signs
     lead = -1 if (qmask.bit_count() + 1) % 2 else 1
     acc: dict[int, int] = {}
-    for tau in _poset_facts(p).chains:
+    for tau in _all_chains(p):
         if tau & qmask:
             continue
         # {y in Q | y < min tau}; min(empty u {inf}) = inf gives all of Q
@@ -237,10 +237,7 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
             if not (cols[i] & tau):
                 low = cols[i]
                 break
-        low &= qmask
-        c = chi_of.get(low)
-        if c is None:
-            c = chi_of[low] = euler_char_restricted(cols, low)
+        c = _chi(signs, low & qmask)
         if c == 0:
             continue
         c *= lead

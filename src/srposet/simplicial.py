@@ -162,9 +162,10 @@ def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
 
 
 def reduced_euler_char_complex(k: SimplicialComplex) -> int:
-    """Sum over all faces s of (-1)^(|s|-1); {emptyset} gives -1."""
+    """Sum over all faces s of (-1)^(|s|-1); {emptyset} gives -1.  Counted
+    on the strong-collapse core, which is homotopy equivalent to k."""
     total = 0
-    for card, faces in enumerate(_faces_by_card(k.facets)):
+    for card, faces in enumerate(_faces_by_card(_core_key(k.facets))):
         total += -len(faces) if card % 2 == 0 else len(faces)
     return total
 

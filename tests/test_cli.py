@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,18 @@ class TestCheckComplexAndHomology:
         for f in rep["fields"]:
             assert f["betti"]["1"] == 1
 
+    def test_huge_simplex(self, capsys, tmp_path):
+        """A 40-vertex simplex has 2^40 faces; its Euler characteristic is
+        read off the strong-collapse core."""
+        vertices = [f"v{i}" for i in range(40)]
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"vertices": vertices, "facets": [vertices]}))
+        start = time.process_time()
+        code, rep = run_json(capsys, ["check-complex", str(path), "--json"])
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        assert rep["euler_char"] == 0 and rep["dim"] == 40
+
     @pytest.mark.parametrize("doc", [
         {"vertices": "abc", "facets": [["a"]]},
         {"vertices": ["a"], "facets": "a"},
@@ -258,7 +271,9 @@ class TestDetsym:
         assert main(["detsym", "--n", "2"]) == 2
 
     def test_t_other_than_2_rejected(self, capsys):
-        assert main(["detsym", "--n", "3", "--t", "3"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["detsym", "--n", "3", "--t", "3"])
+        assert exc.value.code == 2
 
 
 class TestSweep:

@@ -26,7 +26,7 @@ from srposet import (
     reduced_euler_char_poset,
     uplus,
 )
-from srposet.poset import Poset, _chain_facets
+from srposet.poset import Poset, _chain_facets, _chain_signs
 from srposet.simplicial import _bits
 
 from oracles import brute_euler_poset, brute_maximal_chains
@@ -343,6 +343,17 @@ class TestEulerChar:
     @settings(max_examples=80, deadline=None)
     def test_matches_subset_enumeration(self, p):
         assert reduced_euler_char_poset(p) == brute_euler_poset(p)
+
+    def test_chain_signs_give_chi_of_every_down_set(self):
+        """chi~ of a down-set D is the sum of the chain signs over D, minus 1."""
+        rng = random.Random(47)
+        posets = [p for n in range(5) for p in enumerate_posets("abcd"[:n])]
+        posets += [random_poset(rng, [f"e{i}" for i in range(rng.randint(5, 7))]) for _ in range(40)]
+        for p in posets:
+            signs = _chain_signs(p.down_masks())
+            for d in all_poset_ideals(p):
+                total = sum(signs[p.index(e)] for e in d) - 1
+                assert total == brute_euler_poset(p.restrict(d)), (p, sorted(d))
 
 
 class TestOpposite:

@@ -24,6 +24,7 @@ from srposet import (
     rees_cm_report,
     uplus,
 )
+from srposet import rees
 from srposet.rees import _rees_facts
 
 from oracles import direct_numerator
@@ -76,6 +77,26 @@ class TestEulerConditions:
     def test_not_an_ideal(self):
         with pytest.raises(NotAnIdealError):
             euler_condition_Q(chain("a", "b"), ["b"])
+
+    def test_no_chain_list(self, monkeypatch):
+        """The Euler conditions, and the report when Q is empty, never list
+        the chains of P; a 40-element chain has 2^40 of them."""
+
+        def refuse(p):
+            raise AssertionError("listed all chains")
+
+        monkeypatch.setattr(rees, "_all_chains", refuse)
+        labels = [f"e{i:02d}" for i in range(40)]
+        long_chain = chain(*labels)
+        assert euler_condition_Q(long_chain, labels[:3])
+        assert euler_condition_interval(long_chain, labels[:3])
+        p = antichain("a", "b")
+        assert not euler_condition_Q(p, ["a"])
+        assert not euler_condition_interval(p, ["a"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateQWarning)
+            report = rees_cm_report(chain("a", "b"), [], QQ)
+        assert report["a_negative"] is None and report["cm_P"]
 
 
 class TestNumerator:
