@@ -12,18 +12,15 @@ import argparse
 import json
 import sys
 import warnings
+from math import factorial
 
 from . import detsym as detsym_mod
 from .errors import CapExceededError, DegenerateQWarning, SRPosetError
-from .invariants import (
-    complex_report,
-    is_cohen_macaulay_complex,
-    krull_dim_stanley_reisner,
-)
+from .invariants import complex_report, krull_dim_stanley_reisner
 from .poset import (
     Poset,
-    all_poset_ideals,
-    enumerate_posets,
+    _ideal_orbits,
+    _poset_classes,
     ideal_from_json,
     is_pure,
     order_complex,
@@ -31,11 +28,10 @@ from .poset import (
     poset_to_json,
     reduced_euler_char_poset,
 )
-from .rees import _cm_reports, _rees_facts, g_dis_numerator_mu_top_via_lower_sets
+from .rees import _cm_reports, _field_data, _rees_facts, _violations
 from .simplicial import (
-    BettiVector,
     FieldSpec,
-    SimplicialComplex,
+    _bits,
     complex_from_json,
     is_equidimensional,
     reduced_betti_numbers,
@@ -95,18 +91,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _field_rows(k, fields: list[FieldSpec]) -> list[dict]:
     """The per-field CM/Buchsbaum/depth rows of check-poset and check-complex."""
-    rows = []
-    for f in fields:
-        rep = complex_report(k, f)
-        rows.append(
-            {
-                "char": f.characteristic,
-                "cm": rep["cm"],
-                "buchsbaum": rep["buchsbaum"],
-                "depth": rep["depth"],
-            }
-        )
-    return rows
+    reps = [(f.characteristic, complex_report(k, f)) for f in fields]
+    return [{"char": c, "cm": r["cm"], "buchsbaum": r["buchsbaum"], "depth": r["depth"]} for c, r in reps]
 
 
 def cmd_check_poset(args) -> int:
@@ -143,19 +129,11 @@ def cmd_check_complex(args) -> int:
 def cmd_homology(args) -> int:
     k = _parse(complex_from_json, _read(args.file), "complex")
     fields = _fields_from_args(args)
-    per_field = []
-    for f in fields:
-        betti = reduced_betti_numbers(k, f)
-        per_field.append(
-            {
-                "char": f.characteristic,
-                "betti": {str(d): betti[d] for d in sorted(betti.values)},
-            }
-        )
+    bettis = [(f.characteristic, reduced_betti_numbers(k, f)) for f in fields]
     report = {
         "schema_version": SCHEMA_VERSION,
         "dim": k.dim(),
-        "fields": per_field,
+        "fields": [{"char": c, "betti": {str(d): b[d] for d in sorted(b.values)}} for c, b in bettis],
     }
     _emit(report, args.json)
     return 0
@@ -196,18 +174,12 @@ def cmd_detsym(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fields = _fields_from_args(args)
-    per_field = []
-    shared = None
-    for f in fields:
-        rep = detsym_mod.reproduce_section3(args.n, f)
-        per_field.append(
-            {
-                "char": f.characteristic,
-                "depth": rep["depth"],
-                "core_depth": rep["core_depth"],
-            }
-        )
-        shared = rep
+    reps = [detsym_mod.reproduce_section3(args.n, f) for f in fields]
+    per_field = [
+        {"char": rep["field"]["char"], "depth": rep["depth"], "core_depth": rep["core_depth"]}
+        for rep in reps
+    ]
+    shared = reps[-1]
     report = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
@@ -223,67 +195,27 @@ def cmd_detsym(args) -> int:
     return 0
 
 
-def _sweep_pair(p: Poset, q: frozenset, minimal, per_field) -> tuple | None:
-    """The first property this pair violates, as (kind, P, Q[, char]), or None."""
-    facts = _rees_facts(p, q)
-    if facts.cond_q != facts.cond_interval:
-        return ("euler-conditions-disagree", p, sorted(q))
-    if q:
-        a_neg = facts.numerator.is_zero()
-        if facts.numerator != g_dis_numerator_mu_top_via_lower_sets(p, q):
-            return ("numerator-routes-disagree", p, sorted(q))
-        if a_neg != facts.cond_q:
-            return ("a-invariant-vs-euler", p, sorted(q))
-    up = facts.uplus
-    delta_up = order_complex(up)
-    delta_red = None
-    if len(minimal) == 1 and q:
-        # the starred minimum is least in P (+) Q, so in every facet: a cone point
-        star = 1 << up.index(minimal[0] + "*")
-        delta_red = SimplicialComplex._trusted(up.elements, tuple(f & ~star for f in delta_up.facets))
-    for f, betti_p, cm_p in per_field:
-        betti_up = reduced_betti_numbers(delta_up, f)
-        if betti_p != betti_up:
-            return ("betti-not-preserved", p, sorted(q), f.characteristic)
-        if delta_red is not None and reduced_betti_numbers(delta_red, f) != BettiVector({}):
-            return ("deleted-star-not-acyclic", p, sorted(q), f.characteristic)
-        if not cm_p:
-            continue
-        cm_up = is_cohen_macaulay_complex(delta_up, f)
-        if facts.cond_interval and not cm_up:
-            return ("interval-condition-but-not-cm", p, sorted(q), f.characteristic)
-        if len(minimal) == 1 and not cm_up:
-            return ("unique-min-but-not-cm", p, sorted(q), f.characteristic)
-        if q and len(q) < len(p) and cm_up != a_neg:
-            return ("biconditional-fails", p, sorted(q), f.characteristic)
-    return None
-
-
 def cmd_sweep(args) -> int:
-    if args.max_elements > 6:
-        print("error: sweep is capped at 6 elements", file=sys.stderr)
-        return 2
-    if args.max_elements < 0:
-        print("error: --max-elements must be nonnegative", file=sys.stderr)
+    if not 0 <= args.max_elements <= 8:
+        problem = "sweep is capped at 8 elements" if args.max_elements > 8 else "--max-elements must be nonnegative"
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     fields = _fields_from_args(args)
     pairs = 0
-    for n in range(args.max_elements + 1):
-        labels = [chr(ord("a") + i) for i in range(n)]
-        for p in enumerate_posets(labels):
-            # what every pair needs of P alone, computed once per poset
-            delta_p = order_complex(p)
-            minimal = [p.elements[i] for i in p.minimal_idx()]
-            per_field = [
-                (f, reduced_betti_numbers(delta_p, f), is_cohen_macaulay_complex(delta_p, f))
-                for f in fields
-            ]
-            for q in all_poset_ideals(p):
-                pairs += 1
-                failure = _sweep_pair(p, q, minimal, per_field)
+    for n, level in zip(range(args.max_elements + 1), _poset_classes()):
+        labels = tuple(chr(ord("a") + i) for i in range(n))
+        for lt, automorphisms, gens in level:
+            # one check per class of pairs: the class of P stands for
+            # n!/|Aut P| labelled posets, each with `size` ideals in the orbit
+            p = Poset._trusted(labels, lt)
+            per_field = _field_data(p, fields)
+            for qmask, size in _ideal_orbits(lt, gens).items():
+                pairs += factorial(n) // automorphisms * size
+                q = [labels[i] for i in _bits(qmask)]
+                failure = next(_violations(p, _rees_facts(p, q), per_field), None)
                 if failure:
-                    kind, bad_p, bad_q, *rest = failure
-                    print(f"FAIL {kind}: P={bad_p!r} Q={bad_q} {rest}")
+                    kind, char = failure
+                    print(f"FAIL {kind}: P={p!r} Q={q} {[] if char is None else [char]}")
                     return 1
     chars = [f.characteristic for f in fields]
     print(f"sweep ok: {pairs} (poset, ideal) pairs up to {args.max_elements} elements, characteristics {chars}")
@@ -298,42 +230,26 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def command(name, func, help, *files):
+        sp = sub.add_parser(name, help=help)
+        for f in files:
+            sp.add_argument(f)
+        sp.set_defaults(func=func)
+        return sp
+
+    command("check-poset", cmd_check_poset, "purity/CM/Buchsbaum/depth of a poset file", "file")
+    command("check-complex", cmd_check_complex, "invariants of a complex file", "file")
+    command("homology", cmd_homology, "reduced Betti numbers of a complex file", "file")
+    command("uplus", cmd_uplus, "Rees-poset report for a poset and an ideal file", "poset", "ideal")
+    sp = command("detsym", cmd_detsym, "symmetric-minors dimension/depth reproduction")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--cap", type=int, default=detsym_mod.DEFAULT_CAP)
+    sp = command("sweep", cmd_sweep, "exhaustive property sweep over small posets")
+    sp.add_argument("--max-elements", type=int, default=5)
+    for sp in sub.choices.values():  # options every command takes, listed last
         sp.add_argument("--char", action="append", type=int, default=None,
                         help="field characteristic; repeatable (default: 0 and 2)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-
-    sp = sub.add_parser("check-poset", help="purity/CM/Buchsbaum/depth of a poset file")
-    sp.add_argument("file")
-    add_common(sp)
-    sp.set_defaults(func=cmd_check_poset)
-
-    sp = sub.add_parser("check-complex", help="invariants of a complex file")
-    sp.add_argument("file")
-    add_common(sp)
-    sp.set_defaults(func=cmd_check_complex)
-
-    sp = sub.add_parser("homology", help="reduced Betti numbers of a complex file")
-    sp.add_argument("file")
-    add_common(sp)
-    sp.set_defaults(func=cmd_homology)
-
-    sp = sub.add_parser("uplus", help="Rees-poset report for a poset and an ideal file")
-    sp.add_argument("poset")
-    sp.add_argument("ideal")
-    add_common(sp)
-    sp.set_defaults(func=cmd_uplus)
-
-    sp = sub.add_parser("detsym", help="symmetric-minors dimension/depth reproduction")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=detsym_mod.DEFAULT_CAP)
-    add_common(sp)
-    sp.set_defaults(func=cmd_detsym)
-
-    sp = sub.add_parser("sweep", help="exhaustive property sweep over small posets")
-    sp.add_argument("--max-elements", type=int, default=5)
-    add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -29,7 +29,7 @@ from .monomial import (
 from .poset import Poset, is_poset_ideal
 from .simplicial import FieldSpec
 
-DEFAULT_CAP = 5
+DEFAULT_CAP = 6
 
 
 def tuple_leq(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
@@ -68,14 +68,12 @@ def build_minor_hodge_data(n: int) -> HodgeData:
     def strict(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         return a != b and tuple_leq(a, b)
 
-    rows = []
-    for alpha, beta in tableaux:
-        row = 0
-        for j, (gamma, delta) in enumerate(tableaux):
-            if strict(alpha, gamma) or (alpha == gamma and strict(beta, delta)):
-                row |= 1 << j
-        rows.append(row)
-    poset = Poset(labels, tuple(rows))
+    rows = tuple(
+        sum(1 << j for j, (gamma, delta) in enumerate(tableaux)
+            if strict(alpha, gamma) or (alpha == gamma and strict(beta, delta)))
+        for alpha, beta in tableaux
+    )
+    poset = Poset(labels, rows)
 
     m = len(tableaux)
     gens = []
@@ -98,12 +96,8 @@ def omega_ideal(data: HodgeData, t: int) -> frozenset[str]:
     """The poset ideal of bitableaux of size at least t."""
     if t < 1:
         raise ValueError("t must be positive")
-    members = []
-    for label in data.poset.elements:
-        size = label[1:].split("|")[0].count(",") + 1
-        if size >= t:
-            members.append(label)
-    result = frozenset(members)
+    # a label reads [alpha|beta]: its size is one more than alpha's commas
+    result = frozenset(e for e in data.poset.elements if e.split("|")[0].count(",") + 1 >= t)
     assert is_poset_ideal(data.poset, result)
     return result
 

@@ -53,19 +53,10 @@ class MonomialIdeal:
         return f"MonomialIdeal({list(self.variables)!r}, {self.generator_strings()!r})"
 
     def generator_strings(self) -> list[str]:
-        out = []
-        for g in self.generators:
-            if not any(g):
-                out.append("1")
-                continue
-            parts = []
-            for v, e in zip(self.variables, g):
-                if e == 1:
-                    parts.append(v)
-                elif e > 1:
-                    parts.append(f"{v}^{e}")
-            out.append("*".join(parts))
-        return out
+        return [
+            "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, g) if e) or "1"
+            for g in self.generators
+        ]
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -131,11 +122,7 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     if not ideal.is_proper():
         raise UnitIdealError("cannot polarize the unit ideal")
     n = len(ideal.variables)
-    max_exp = [0] * n
-    for g in ideal.generators:
-        for i, e in enumerate(g):
-            if e > max_exp[i]:
-                max_exp[i] = e
+    max_exp = [max([0, *(g[i] for g in ideal.generators)]) for i in range(n)]
     new_vars = list(ideal.variables)
     copy_index: dict[tuple[int, int], int] = {}
     for i, v in enumerate(ideal.variables):
@@ -182,13 +169,7 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
         raise NotSquarefreeError("Stanley-Reisner complex needs a squarefree ideal")
     n = len(ideal.variables)
     full = (1 << n) - 1
-    supports = []
-    for g in ideal.generators:
-        mask = 0
-        for i, e in enumerate(g):
-            if e:
-                mask |= 1 << i
-        supports.append(mask)
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.generators]
     transversals = _minimal_transversals(supports)
     facets = _minimalize_facets([full & ~t for t in transversals])
     return SimplicialComplex(ideal.variables, facets)
@@ -320,9 +301,7 @@ def _core_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
 # JSON: {"variables": [...], "generators": [{"var": exp, ...}, ...]}
 
 def ideal_to_json(ideal: MonomialIdeal) -> str:
-    gens = []
-    for g in ideal.generators:
-        gens.append({v: e for v, e in zip(ideal.variables, g) if e})
+    gens = [{v: e for v, e in zip(ideal.variables, g) if e} for g in ideal.generators]
     return json.dumps({"variables": list(ideal.variables), "generators": gens})
 
 

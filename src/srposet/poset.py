@@ -9,6 +9,7 @@ every operation is a pure function.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -81,10 +82,7 @@ class Poset:
         return len(self.elements)
 
     def __repr__(self) -> str:
-        pairs = [
-            f"{self.elements[i]}<{self.elements[j]}"
-            for i, j in self.cover_pairs_idx()
-        ]
+        pairs = [f"{self.elements[i]}<{self.elements[j]}" for i, j in self.cover_pairs_idx()]
         return f"Poset({list(self.elements)!r}, covers=[{', '.join(pairs)}])"
 
     def index(self, label: str) -> int:
@@ -171,17 +169,48 @@ def poset_from_cover_relations(
             if not indeg[j]:
                 order.append(j)
     if len(order) < n:
-        # name the first element that reaches itself, off the fast path
-        for k in range(n):
-            for i in range(n):
-                if (rows[i] >> k) & 1:
-                    rows[i] |= rows[k]
-        i = next(i for i in range(n) if (rows[i] >> i) & 1)
+        i = _least_on_cycle(rows, sorted(set(range(n)) - set(order)))
         raise CycleError(f"closure relates {labels[i]} < {labels[i]}")
     for i in reversed(order):  # the rows above i are closed already
         for j in _bits(rows[i]):
             rows[i] |= rows[j]
     return Poset._trusted(labels, tuple(rows))
+
+
+def _least_on_cycle(rows: Sequence[int], left: Iterable[int]) -> int:
+    """The least index that reaches itself, among the elements Kahn's
+    algorithm leaves over: Tarjan's strongly connected components, without
+    recursion, so linear in the covers."""
+    n = len(rows)
+    num: dict[int, int] = {}  # visit order, then n once the component is done
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    least = n
+    for root in left:
+        work = [] if root in num else [(root, None)]
+        while work:
+            v, succ = work.pop()
+            if succ is None:  # first visit
+                num[v] = low[v] = len(num)
+                stack.append(v)
+                succ = _bits(rows[v])
+            for w in succ:  # resumes after the last child visited
+                if w not in num:
+                    work += [(v, succ), (w, None)]
+                    break
+                low[v] = min(low[v], num[w])
+            else:
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == num[v]:  # v roots a component: pop it
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        num[w] = n
+                    if len(comp) > 1 or (rows[v] >> v) & 1:
+                        least = min(least, *comp)
+    return least
 
 
 def is_pure(p: Poset) -> bool:
@@ -256,21 +285,12 @@ def open_interval(p: Poset, a, b) -> Poset:
     Endpoints may be elements of p or the sentinels NEG_INF / POS_INF;
     (NEG_INF, POS_INF) returns p itself.
     """
-    n = len(p)
-    full = (1 << n) - 1
-    if a is NEG_INF:
-        lower = full
-    else:
-        lower = p.lt[p.index(a)]
-    if b is POS_INF:
-        upper = full
-    else:
-        upper = p.down_masks()[p.index(b)]
-    if a is not NEG_INF and b is not POS_INF:
-        if not (p.lt[p.index(a)] >> p.index(b)) & 1:
-            raise NotComparableError(f"{a} is not strictly below {b}")
-    mask = lower & upper
-    return p._restrict_idx([i for i in range(n) if (mask >> i) & 1])
+    full = (1 << len(p)) - 1
+    lower = full if a is NEG_INF else p.lt[p.index(a)]
+    upper = full if b is POS_INF else p.down_masks()[p.index(b)]
+    if a is not NEG_INF and b is not POS_INF and not (lower >> p.index(b)) & 1:
+        raise NotComparableError(f"{a} is not strictly below {b}")
+    return p._restrict_idx(list(_bits(lower & upper)))
 
 
 def uplus(p: Poset, q: Iterable[str]) -> Poset:
@@ -463,19 +483,98 @@ def all_poset_ideals(p: Poset) -> Iterator[frozenset[str]]:
         yield frozenset(p.elements[i] for i in _bits(s))
 
 
+def _poset_classes() -> Iterator[list[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]]:
+    """Level n = 0, 1, ... without end: each isomorphism class of posets on n
+    elements as (canonical rows, |Aut|, generators of Aut), counted by OEIS
+    A000112.  Level n adds a maximal element over one ideal per Aut-orbit to
+    each class of level n - 1 (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998; Brinkmann and McKay, "Posets on up to 16
+    points", Order 19, 2002)."""
+    level = [((), 1, [])]
+    while True:
+        yield level
+        found: dict[tuple[int, ...], tuple] = {}
+        for lt, _, gens in level:
+            top = 1 << len(lt)
+            for d in _ideal_orbits(lt, gens):
+                canon = _canonical([r | top if (d >> i) & 1 else r for i, r in enumerate(lt)] + [0])
+                found.setdefault(canon[0], canon)
+        level = list(found.values())
+
+
+def _canonical(lt: Sequence[int]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """The least relation tuple over the relabellings that keep refined
+    colours in order, with |Aut| and generators of Aut as index maps on it.
+    Colours (numbers of elements below and above, refined by the colours of
+    those until stable) are invariant, so the least tuple is, and the
+    relabellings reaching it differ by automorphisms.  Twins (the same
+    elements below and above) swap, so they are placed in index order."""
+    n = len(lt)
+    down = _transpose(lt)
+    colour: list = [(down[i].bit_count(), lt[i].bit_count()) for i in range(n)]
+    while True:
+        sig = [
+            (colour[i], tuple(sorted(colour[j] for j in _bits(down[i]))),
+             tuple(sorted(colour[j] for j in _bits(lt[i]))))
+            for i in range(n)
+        ]
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        if len(ranks) == len(set(colour)):
+            break
+        colour = [ranks[s] for s in sig]
+    cells = sorted(colour)
+    twin = [-1] * n  # the twin of next lower index, placed before i
+    last: dict[tuple[int, int], tuple[int, int]] = {}
+    swaps = 1  # k! for each class of k twins
+    for i in range(n):
+        twin[i], k = last.get((lt[i], down[i]), (-1, 0))
+        last[(lt[i], down[i])] = (i, k + 1)
+        swaps *= k + 1
+    pos = [-1] * n
+
+    def leaves(at: list[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        k = len(at)
+        if k == n:
+            yield tuple(_remap_mask(lt[i], pos) for i in at), tuple(pos)
+            return
+        for i in range(n):
+            if colour[i] == cells[k] and pos[i] < 0 and (twin[i] < 0 or pos[twin[i]] >= 0):
+                pos[i] = k
+                yield from leaves(at + [i])
+                pos[i] = -1
+
+    (best, first), *rest = sorted(leaves([]))
+    placed = sorted(range(n), key=first.__getitem__)  # the element first puts at each position
+    gens = [tuple(other[i] for i in placed) for code, other in rest if code == best]
+    order = (len(gens) + 1) * swaps
+    for i in range(n):
+        if twin[i] >= 0:
+            g = list(range(n))
+            g[first[i]], g[first[twin[i]]] = first[twin[i]], first[i]
+            gens.append(tuple(g))
+    return best, order, gens
+
+
+def _ideal_orbits(lt: Sequence[int], gens: Sequence[Sequence[int]]) -> Counter[int]:
+    """The least ideal of each orbit of the group generated by gens on the
+    ideals of the poset with rows lt, counting the ideals in the orbit."""
+    least: dict[int, int] = {}
+    for q in _closed_masks(_transpose(lt)):  # increasing: an orbit is met at its least
+        if q not in least:
+            least[q] = q
+            orbit = [q]
+            for m in orbit:  # grows while read: the closure under gens
+                for image in (_remap_mask(m, g) for g in gens):
+                    if image not in least:
+                        least[image] = q
+                        orbit.append(image)
+    return Counter(least.values())
+
+
 def random_poset_ideal(rng, p: Poset) -> frozenset[str]:
     """Downward closure of a random subset of p."""
-    n = len(p)
     cols = p.down_masks()
-    mask = 0
-    for i in range(n):
-        if rng.random() < 0.4:
-            mask |= 1 << i
-    closed = mask
-    t = mask
-    while t:
-        j = (t & -t).bit_length() - 1
-        closed |= cols[j]
-        t &= t - 1
-    # cols are full lower sets, so one pass closes downward
-    return frozenset(p.elements[i] for i in _bits(closed))
+    mask = sum(1 << i for i in range(len(p)) if rng.random() < 0.4)
+    for j in list(_bits(mask)):  # cols are full lower sets, so one pass closes
+        mask |= cols[j]
+    return frozenset(p.elements[i] for i in _bits(mask))

@@ -1,43 +1,38 @@
 """Rees-construction criteria for a poset P with a poset ideal Q.
 
-Three equivalent detectors of the negativity of the a-invariant of the
-associated graded ring of the discrete algebra:
+Three equivalent detectors of a negative a-invariant of the associated
+graded ring of the discrete algebra: the top-mu coefficient of the
+Hilbert-series numerator, expanded exactly (g_dis_numerator_mu_top); the
+same coefficient from Euler characteristics of lower sets of Q
+(g_dis_numerator_mu_top_via_lower_sets); and the vanishing of those
+(euler_condition_Q, equivalent to euler_condition_interval).
 
-* the top-mu coefficient of the bigraded Hilbert-series numerator,
-  expanded exactly over the integers (g_dis_numerator_mu_top);
-* the same coefficient re-assembled from reduced Euler characteristics
-  of lower sets of Q (g_dis_numerator_mu_top_via_lower_sets);
-* the vanishing of those Euler characteristics themselves
-  (euler_condition_Q), equivalent to euler_condition_interval.
-
-rees_cm_report packages the detectors with the Cohen-Macaulay tests of P
-and of P (+) Q.
-
-The public functions check Q at their entry (poset._ideal_mask) and then
-work on its bitmask.  _rees_facts checks Q once and gathers what a pair
-needs whatever the field: both Euler conditions, the direct numerator and
-P (+) Q.  The report, the uplus command and the sweep read it.
-
-Every chi~ is a sum over one sign vector per poset (poset._chain_signs),
-cached with chi~(P) and the x with chi~((-inf, x)) nonzero, so the interval
-condition is one mask test.  Only the two numerators read the list of all
-chains, cached apart (_all_chains).  The direct one adds up the chain signs
-for each sigma u Q and then applies one subset Moebius transform over the
-coordinates outside Q (Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier
-meets Moebius: fast subset convolution", STOC 2007).  The lower-set rewrite
-keeps its own chain-by-chain expansion, so the routes stay independent.
+Public functions check Q once at entry (poset._ideal_mask).  _rees_facts
+gathers what a pair needs in any field; _violations lists the properties a
+pair breaks, for rees_cm_report, the uplus command and the sweep.  Every
+chi~ sums one sign vector per poset (poset._chain_signs).  Only the two
+numerators list all chains (_all_chains); the direct one then applies one
+subset Moebius transform outside Q (Bjoerklund, Husfeldt, Kaski and
+Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007), the
+lower-set rewrite expands chain by chain, so the routes stay independent.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DegenerateQWarning, EmptyQError
 from .invariants import is_cohen_macaulay_complex
 from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
-from .simplicial import FieldSpec, _bits
+from .simplicial import (
+    BettiVector,
+    FieldSpec,
+    SimplicialComplex,
+    _bits,
+    reduced_betti_numbers,
+)
 
 
 class IntPolynomial:
@@ -76,12 +71,8 @@ class IntPolynomial:
             return "IntPolynomial(0)"
         parts = []
         for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.variables, e)
-                if k
-            )
-            parts.append(f"{c}" if not mono else f"{c}*{mono}")
+            mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k)
+            parts.append(f"{c}*{mono}" if mono else f"{c}")
         return f"IntPolynomial({' + '.join(parts)})"
 
 
@@ -261,10 +252,12 @@ def a_invariant_negative(p: Poset, q: Iterable[str]) -> bool:
 def rees_cm_report(p: Poset, q: Iterable[str], field: FieldSpec) -> dict:
     """Cohen-Macaulay/a-invariant report for the pair (P, Q).
 
-    ``consistent`` asserts the agreement of the Euler-characteristic
-    conditions with a-invariant negativity and, when P is Cohen-Macaulay,
-    of the Cohen-Macaulay property of P (+) Q with a-invariant negativity.
-    For Q empty or Q = P the hypotheses of the biconditional fail: the
+    ``consistent`` asserts that the pair violates none of the properties
+    the sweep checks (_violations): among them, the agreement of the
+    Euler-characteristic conditions with a-invariant negativity and, when P
+    is Cohen-Macaulay, of the Cohen-Macaulay property of P (+) Q with
+    a-invariant negativity.  For Q empty or Q = P the hypotheses of the
+    biconditional fail: the
     flags are still reported, consistency is not asserted (None), and a
     DegenerateQWarning is emitted.
     """
@@ -272,38 +265,67 @@ def rees_cm_report(p: Poset, q: Iterable[str], field: FieldSpec) -> dict:
 
 
 def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[dict]:
-    """rees_cm_report in each field, from the facts of one pair; the order
-    complexes are built once for all fields."""
+    """rees_cm_report in each field, from the facts of one pair."""
     degenerate = facts.qmask == 0 or facts.qmask == (1 << len(p)) - 1
     if degenerate:
-        warnings.warn(
-            "Q is empty or all of P; the biconditional is not asserted",
-            DegenerateQWarning,
-            stacklevel=3,
-        )
-    a_neg = None if facts.numerator is None else facts.numerator.is_zero()
-    delta_p = order_complex(p)
+        msg = "Q is empty or all of P; the biconditional is not asserted"
+        warnings.warn(msg, DegenerateQWarning, stacklevel=3)
+    per_field = _field_data(p, fields)
+    failed = set() if degenerate else {char for _, char in _violations(p, facts, per_field)}
     delta_up = order_complex(facts.uplus)
-    reports = []
-    for field in fields:
-        cm_p = is_cohen_macaulay_complex(delta_p, field)
-        cm_uplus = is_cohen_macaulay_complex(delta_up, field)
-        if degenerate:
-            consistent = None
-        else:
-            consistent = (
-                facts.cond_q == facts.cond_interval == a_neg
-                and (not cm_p or cm_uplus == a_neg)
-            )
-        reports.append({
-            "schema_version": 1,
-            "field": {"char": field.characteristic},
-            "cm_P": cm_p,
-            "cm_uplus": cm_uplus,
-            "a_negative": a_neg,
-            "cond_Q": facts.cond_q,
-            "cond_interval": facts.cond_interval,
-            "degenerate": degenerate,
-            "consistent": consistent,
-        })
-    return reports
+    return [{
+        "schema_version": 1,
+        "field": {"char": f.characteristic},
+        "cm_P": cm_p,
+        "cm_uplus": is_cohen_macaulay_complex(delta_up, f),
+        "a_negative": None if facts.numerator is None else facts.numerator.is_zero(),
+        "cond_Q": facts.cond_q,
+        "cond_interval": facts.cond_interval,
+        "degenerate": degenerate,
+        "consistent": None if degenerate else not failed & {None, f.characteristic},
+    } for f, _, cm_p in per_field]
+
+
+def _field_data(p: Poset, fields: list[FieldSpec]) -> list[tuple[FieldSpec, BettiVector, bool]]:
+    """(field, Betti numbers, Cohen-Macaulayness) of the order complex of P."""
+    delta = order_complex(p)
+    return [(f, reduced_betti_numbers(delta, f), is_cohen_macaulay_complex(delta, f)) for f in fields]
+
+
+def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, int | None]]:
+    """The properties the pair (P, Q) violates, lazily and in a fixed order,
+    as (kind, characteristic or None if field-independent); next() gives
+    the first.  per_field is _field_data(P, fields).  Checked: the Euler
+    conditions, both numerators and a-invariant negativity agree; Lemmas
+    6.5/6.6 (Betti numbers kept, deleted star acyclic); and, for P
+    Cohen-Macaulay, Theorem 6.3 and the a-invariant biconditional.
+    """
+    q = [p.elements[i] for i in _bits(facts.qmask)]
+    if facts.cond_q != facts.cond_interval:
+        yield "euler-conditions-disagree", None
+    if q:
+        a_neg = facts.numerator.is_zero()
+        if facts.numerator != g_dis_numerator_mu_top_via_lower_sets(p, q):
+            yield "numerator-routes-disagree", None
+        if a_neg != facts.cond_q:
+            yield "a-invariant-vs-euler", None
+    unique_min = len(p.minimal_idx()) == 1
+    delta_up = order_complex(facts.uplus)
+    delta_red = None
+    if unique_min and q:
+        # the starred minimum is least in P (+) Q, so in every facet: a cone point
+        star = 1 << facts.uplus.minimal_idx()[0]
+        delta_red = SimplicialComplex._trusted(delta_up.vertices, tuple(f & ~star for f in delta_up.facets))
+    for f, betti_p, cm_p in per_field:
+        char = f.characteristic
+        if reduced_betti_numbers(delta_up, f) != betti_p:
+            yield "betti-not-preserved", char
+        if delta_red is not None and reduced_betti_numbers(delta_red, f) != BettiVector({}):
+            yield "deleted-star-not-acyclic", char
+        cm_up = cm_p and is_cohen_macaulay_complex(delta_up, f)
+        if cm_p and facts.cond_interval and not cm_up:
+            yield "interval-condition-but-not-cm", char
+        if cm_p and unique_min and not cm_up:
+            yield "unique-min-but-not-cm", char
+        if cm_p and q and len(q) < len(p) and cm_up != a_neg:
+            yield "biconditional-fails", char

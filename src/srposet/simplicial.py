@@ -141,9 +141,7 @@ def complex_from_facets(
                 raise UnknownVertexError(v)
             mask |= 1 << index[v]
         masks.append(mask)
-    if not masks:
-        masks = [0]
-    return SimplicialComplex(vertices, _minimalize_facets(masks))
+    return SimplicialComplex(vertices, _minimalize_facets(masks or [0]))
 
 
 def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
@@ -172,8 +170,7 @@ def reduced_euler_char_complex(k: SimplicialComplex) -> int:
 
 def is_equidimensional(k: SimplicialComplex) -> bool:
     """True iff all facets have the same cardinality."""
-    cards = {f.bit_count() for f in k.facets}
-    return len(cards) <= 1
+    return len({f.bit_count() for f in k.facets}) <= 1
 
 
 @dataclass
@@ -276,12 +273,9 @@ def _faces_by_card(facets: Iterable[int]) -> list[list[int]]:
                         seen.add(sub)
                         stack.append(sub)
                     m &= m - 1
-    maxc = max(f.bit_count() for f in facets)
-    grouped: list[list[int]] = [[] for _ in range(maxc + 1)]
-    for f in seen:
+    grouped: list[list[int]] = [[] for _ in range(max(f.bit_count() for f in facets) + 1)]
+    for f in sorted(seen):
         grouped[f.bit_count()].append(f)
-    for g in grouped:
-        g.sort()
     return grouped
 
 
@@ -311,11 +305,7 @@ def _betti_masks(facets: tuple[int, ...], char: int) -> tuple[int, ...]:
     ranks = [0] * (maxc + 2)  # ranks[c] = rank of map from card c to card c-1
     for c in range(1, maxc + 1):
         ranks[c] = _boundary_rank(grouped[c - 1], grouped[c], char)
-    betti = []
-    for c in range(maxc + 1):
-        upper = ranks[c + 1] if c + 1 <= maxc else 0
-        betti.append(nf[c] - ranks[c] - upper)
-    return tuple(betti)
+    return tuple(nf[c] - ranks[c] - ranks[c + 1] for c in range(maxc + 1))
 
 
 def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:

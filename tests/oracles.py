@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: subset enumeration for chains and
 faces, Smith normal form over the integers for homology, Fraction-based
-Gaussian elimination for ranks.  None of it shares code with the library's
-computation paths.
+Gaussian elimination for ranks, Warshall's pass for transitive closure.
+None of it shares code with the library's computation paths, except the
+labelled sweep, which enumerates pairs naively but checks them with the
+library's pair report.
 """
 
 from __future__ import annotations
@@ -272,3 +274,38 @@ def restart_strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
                 changed = True
                 break
     return tuple(current)
+
+
+def warshall_closure(rows: list[int]) -> list[int]:
+    """Transitive closure of a relation given by bitmask rows, by
+    Warshall's n^2 pass; an element on a cycle ends up related to itself."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if (rows[i] >> k) & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def labelled_sweep(max_elements: int, fields) -> tuple[int, tuple | None]:
+    """The sweep over every labelled (poset, ideal) pair: enumerate_posets
+    times all_poset_ideals, each pair through the library's pair report.
+
+    Unlike the oracles above it shares the property checks with the
+    library; it is the reference for the class sweep's enumeration and
+    weighting.  Returns the number of pairs checked and the first failure,
+    as (P, sorted Q, (kind, characteristic)), or None.
+    """
+    from srposet import all_poset_ideals, enumerate_posets
+    from srposet.rees import _field_data, _rees_facts, _violations
+
+    pairs = 0
+    for n in range(max_elements + 1):
+        for p in enumerate_posets([chr(ord("a") + i) for i in range(n)]):
+            per_field = _field_data(p, fields)
+            for q in all_poset_ideals(p):
+                pairs += 1
+                failure = next(_violations(p, _rees_facts(p, q), per_field), None)
+                if failure:
+                    return pairs, (p, sorted(q), failure)
+    return pairs, None

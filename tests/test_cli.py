@@ -3,8 +3,11 @@ import time
 
 import pytest
 
-from srposet import BettiVector, cli
+from srposet import GF2, QQ, BettiVector, cli, poset_from_cover_relations, rees
 from srposet.cli import main
+from srposet.poset import _canonical
+
+from oracles import labelled_sweep
 
 
 @pytest.fixture
@@ -267,6 +270,13 @@ class TestDetsym:
     def test_cap_exceeded(self, capsys):
         assert main(["detsym", "--n", "99"]) == 2
 
+    def test_n6_within_default_cap(self, capsys):
+        code, rep = run_json(capsys, ["detsym", "--n", "6", "--json", "--char", "0"])
+        assert code == 0
+        assert rep["dim"] == 6 and rep["core_dim"] == 4
+        assert rep["fields"] == [{"char": 0, "depth": 2, "core_depth": 0}]
+        assert main(["detsym", "--n", "7"]) == 2
+
     def test_n_too_small(self, capsys):
         assert main(["detsym", "--n", "2"]) == 2
 
@@ -287,14 +297,14 @@ class TestSweep:
         code = main(["sweep", "--max-elements", "0"])
         assert code == 0
 
-    @pytest.mark.parametrize("cap", ["7", "-1"])
+    @pytest.mark.parametrize("cap", ["9", "-1"])
     def test_cap(self, capsys, cap):
         assert main(["sweep", "--max-elements", cap]) == 2
 
     def test_failure_is_reported(self, monkeypatch, capsys):
         # if every P counted as Cohen-Macaulay, so would every P (+) Q, and
         # the a-invariant biconditional must break
-        monkeypatch.setattr(cli, "is_cohen_macaulay_complex", lambda k, f: True)
+        monkeypatch.setattr(rees, "is_cohen_macaulay_complex", lambda k, f: True)
         code = main(["sweep", "--max-elements", "3"])
         out = capsys.readouterr().out
         assert code == 1
@@ -314,8 +324,8 @@ class TestSweepFailures:
         assert len(out.splitlines()) == 1
 
     def test_numerator_routes_disagree(self, monkeypatch, capsys):
-        real = cli.g_dis_numerator_mu_top_via_lower_sets
-        monkeypatch.setattr(cli, "g_dis_numerator_mu_top_via_lower_sets", lambda p, q: -real(p, q))
+        real = rees.g_dis_numerator_mu_top_via_lower_sets
+        monkeypatch.setattr(rees, "g_dis_numerator_mu_top_via_lower_sets", lambda p, q: -real(p, q))
         self.sweep_fails(capsys, "numerator-routes-disagree")
 
     def test_euler_conditions_disagree(self, monkeypatch, capsys):
@@ -330,5 +340,48 @@ class TestSweepFailures:
 
     def test_deleted_star_not_acyclic(self, monkeypatch, capsys):
         # an acyclic complex no longer matches the zero vector it is compared with
-        monkeypatch.setattr(cli, "BettiVector", lambda values: BettiVector({-1: 1}))
+        monkeypatch.setattr(rees, "BettiVector", lambda values: BettiVector({-1: 1}))
         self.sweep_fails(capsys, "deleted-star-not-acyclic")
+
+
+class TestClassSweep:
+    """The sweep checks one pair per isomorphism class of (P, Q) and weights
+    it back to the number of labelled pairs it stands for."""
+
+    def test_agrees_with_labelled_sweep(self, capsys):
+        pairs, failure = labelled_sweep(4, [QQ, GF2])
+        assert (pairs, failure) == (1789, None)
+        assert main(["sweep", "--max-elements", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "sweep ok: 1789 (poset, ideal) pairs up to 4 elements, characteristics [0, 2]\n"
+        )
+
+    def test_six_elements(self, capsys):
+        assert main(["sweep", "--max-elements", "6", "--char", "2"]) == 0
+        assert capsys.readouterr().out.startswith("sweep ok: 2098261 (poset, ideal) pairs ")
+
+    def test_failure_on_one_class(self, monkeypatch, capsys):
+        # the N poset: a < c > b < d
+        n_poset = poset_from_cover_relations("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
+        target = _canonical(n_poset.lt)[0]
+        real = rees._rees_facts
+        flipped_on = []
+
+        def flipped(p, q):
+            facts = real(p, q)
+            if _canonical(p.lt)[0] != target:
+                return facts
+            flipped_on.append(p)
+            return facts._replace(cond_interval=not facts.cond_interval)
+
+        monkeypatch.setattr(cli, "_rees_facts", flipped)
+        monkeypatch.setattr(rees, "_rees_facts", flipped)
+        code = main(["sweep", "--max-elements", "5"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert len(flipped_on) == 1
+        assert out == f"FAIL euler-conditions-disagree: P={flipped_on[0]!r} Q=[] []\n"
+        # the labelled sweep fails on a labelled copy of the same class
+        _, (p, q, failure) = labelled_sweep(5, [QQ, GF2])
+        assert failure == ("euler-conditions-disagree", None)
+        assert _canonical(p.lt)[0] == target and q == []

@@ -1,5 +1,9 @@
 import dataclasses
 import random
+import time
+from functools import lru_cache
+from itertools import islice, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +30,17 @@ from srposet import (
     reduced_euler_char_poset,
     uplus,
 )
-from srposet.poset import Poset, _chain_facets, _chain_signs
+from srposet.poset import (
+    Poset,
+    _canonical,
+    _chain_facets,
+    _chain_signs,
+    _ideal_orbits,
+    _poset_classes,
+)
 from srposet.simplicial import _bits
 
-from oracles import brute_euler_poset, brute_maximal_chains
+from oracles import brute_euler_poset, brute_maximal_chains, warshall_closure
 
 
 def chain(*labels):
@@ -134,6 +145,30 @@ class TestClosureCheck:
     def test_self_cover_is_a_cycle(self):
         with pytest.raises(CycleError):
             poset_from_cover_relations(["a", "b"], [("a", "b"), ("b", "b")])
+
+    @given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_named_as_by_warshall(self, n, rng):
+        # self-covers included; the named label is the least on a cycle
+        p = rng.random() * 0.3
+        rows = [sum(1 << j for j in range(n) if rng.random() < p) for _ in range(n)]
+        labels = [f"e{i}" for i in range(n)]
+        covers = [(labels[i], labels[j]) for i, row in enumerate(rows) for j in _bits(row)]
+        loops = [i for i, row in enumerate(warshall_closure(rows)) if (row >> i) & 1]
+        if not loops:
+            poset_from_cover_relations(labels, covers)
+            return
+        name = labels[loops[0]]
+        with pytest.raises(CycleError, match=f"^closure relates {name} < {name}$"):
+            poset_from_cover_relations(labels, covers)
+
+    def test_long_cycle_rejected_fast(self):
+        labels = [f"e{i}" for i in range(3000)]
+        covers = list(zip(labels, labels[1:] + labels[:1]))
+        start = time.process_time()
+        with pytest.raises(CycleError, match="^closure relates e0 < e0$"):
+            poset_from_cover_relations(labels, covers)
+        assert time.process_time() - start < 0.1
 
 
 class TestPurity:
@@ -409,6 +444,71 @@ class TestEnumeration:
     def test_all_valid(self):
         for p in enumerate_posets(["a", "b", "c", "d"]):
             assert isinstance(p, Poset)
+
+
+@lru_cache(maxsize=None)
+def class_levels():
+    """Levels 0..7 of the class generator, built once for the module."""
+    return list(islice(_poset_classes(), 8))
+
+
+def relabel(rows, perm):
+    """The rows of the poset with element i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in _bits(row))
+    return tuple(out)
+
+
+def _closed_masks_of(lt):
+    """The ideals of the poset with rows lt, by subset enumeration."""
+    n = len(lt)
+    return [s for s in range(1 << n)
+            if all(not (lt[i] >> j) & 1 or (s >> i) & 1 for j in _bits(s) for i in range(n))]
+
+
+class TestPosetClasses:
+    def test_class_counts_follow_a000112(self):
+        assert [len(level) for level in class_levels()] == [1, 1, 2, 5, 16, 63, 318, 2045]
+
+    def test_labelled_counts_follow_a001035(self):
+        counts = [sum(factorial(n) // order for _, order, _ in level)
+                  for n, level in enumerate(class_levels())]
+        assert counts == [1, 1, 3, 19, 219, 4231, 130023, 6129859]
+
+    def test_automorphisms_and_ideal_orbits_by_brute_force(self):
+        for n, level in enumerate(class_levels()[:6]):
+            for lt, order, gens in level:
+                auts = {perm for perm in permutations(range(n)) if relabel(lt, perm) == lt}
+                assert len(auts) == order and set(gens) <= auts
+                ideals = _closed_masks_of(lt)
+                orbits = {frozenset(sum(1 << g[i] for i in _bits(q)) for g in auts) for q in ideals}
+                assert _ideal_orbits(lt, gens) == {min(o): len(o) for o in orbits}
+
+    def test_canonical_form_is_invariant(self):
+        rng = random.Random(111)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            p = random_poset(rng, [f"e{i}" for i in range(n)], edge_prob=rng.random())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            canon, order, _ = _canonical(p.lt)
+            assert _canonical(relabel(p.lt, perm))[:2] == (canon, order)
+            # the canonical rows are a relabelling of p
+            assert canon in {relabel(p.lt, g) for g in permutations(range(n))}
+
+    def test_weighted_pair_counts(self):
+        per_level = [
+            sum(factorial(n) // order * size for lt, order, gens in level
+                for size in _ideal_orbits(lt, gens).values())
+            for n, level in enumerate(class_levels()[:7])
+        ]
+        assert sum(per_level[:6]) == 48711
+        assert per_level[6] == 2049550
+        labelled = sum(
+            1 for n in range(5) for p in enumerate_posets("abcd"[:n]) for _ in all_poset_ideals(p)
+        )
+        assert sum(per_level[:5]) == labelled == 1789
 
 
 class TestJson:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+from itertools import islice
 
 import pytest
 
@@ -35,7 +36,7 @@ from srposet import (
     random_poset_ideal,
     uplus,
 )
-from srposet.poset import Poset
+from srposet.poset import Poset, _ideal_orbits, _poset_classes
 from srposet.rees import _rees_facts
 from srposet.simplicial import SimplicialComplex
 
@@ -132,7 +133,16 @@ def test_sweep_deleted_star_complexes(built):
         if any(v.endswith("*") for v in k.vertices)
         and sum(1 << i for i in range(len(k.vertices))) & ~_union(k.facets)
     ]
-    assert len(deleted) > 100
+    # one per class of pairs (P, Q) with a unique minimum in P and Q nonempty
+    classes = [
+        q
+        for level in islice(_poset_classes(), 5)
+        for lt, _, gens in level
+        if len(lt) - _union(lt).bit_count() == 1  # elements above nothing
+        for q in _ideal_orbits(lt, gens)
+        if q
+    ]
+    assert len(deleted) == len(classes) == 31
 
 
 class TestIntervalCondition:
