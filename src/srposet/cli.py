@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from math import factorial
 
 from . import detsym as detsym_mod
-from .errors import CapExceededError, DegenerateQWarning, SRPosetError
+from .errors import CapExceededError, SRPosetError
 from .invariants import complex_report, krull_dim_stanley_reisner
 from .poset import (
     Poset,
+    _ideal_mask,
     _ideal_orbits,
     _poset_classes,
     ideal_from_json,
@@ -28,7 +28,7 @@ from .poset import (
     poset_to_json,
     reduced_euler_char_poset,
 )
-from .rees import _cm_reports, _field_data, _rees_facts, _violations
+from .rees import _DEGENERATE, _cm_reports, _field_data, _rees_facts, _violations
 from .simplicial import (
     FieldSpec,
     _bits,
@@ -144,11 +144,8 @@ def cmd_uplus(args) -> int:
     q = _parse(ideal_from_json, _read(args.ideal), "ideal")
     fields = _fields_from_args(args)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DegenerateQWarning)
-            facts = _rees_facts(p, q)
-            per_field = _cm_reports(p, facts, fields)
-            warned = [str(w.message) for w in caught]
+        facts = _rees_facts(p, _ideal_mask(p, q))
+        per_field = _cm_reports(p, facts, fields)
     except (SRPosetError, ValueError) as exc:
         # ValueError: a label that carries the reserved star marker
         print(f"error: {exc}", file=sys.stderr)
@@ -158,8 +155,8 @@ def cmd_uplus(args) -> int:
         "uplus": json.loads(poset_to_json(facts.uplus)),
         "fields": per_field,
     }
-    if warned:
-        report["warnings"] = sorted(set(warned))
+    if per_field[0]["degenerate"]:
+        report["warnings"] = [_DEGENERATE]
     _emit(report, args.json)
     ok = all(r["consistent"] is not False for r in per_field)
     return 0 if ok else 1
@@ -211,10 +208,10 @@ def cmd_sweep(args) -> int:
             per_field = _field_data(p, fields)
             for qmask, size in _ideal_orbits(lt, gens).items():
                 pairs += factorial(n) // automorphisms * size
-                q = [labels[i] for i in _bits(qmask)]
-                failure = next(_violations(p, _rees_facts(p, q), per_field), None)
+                failure = next(_violations(p, _rees_facts(p, qmask), per_field), None)
                 if failure:
                     kind, char = failure
+                    q = [labels[i] for i in _bits(qmask)]
                     print(f"FAIL {kind}: P={p!r} Q={q} {[] if char is None else [char]}")
                     return 1
     chars = [f.characteristic for f in fields]

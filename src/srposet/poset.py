@@ -19,7 +19,7 @@ from .errors import (
     NotComparableError,
     UnknownLabelError,
 )
-from .simplicial import SimplicialComplex, _bits, _json_list, _remap_mask
+from .simplicial import SimplicialComplex, _bits, _json_list, _label_mask, _remap_mask
 
 STAR = "*"
 
@@ -123,12 +123,7 @@ class Poset:
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet on the given labels (kept in this poset's order)."""
-        keep_set = set(keep)
-        unknown = keep_set - set(self.elements)
-        if unknown:
-            raise UnknownLabelError(sorted(unknown)[0])
-        idx = [i for i, e in enumerate(self.elements) if e in keep_set]
-        return self._restrict_idx(idx)
+        return self._restrict_idx(list(_bits(_subset_mask(self, keep))))
 
     def _restrict_idx(self, idx: Sequence[int]) -> "Poset":
         pos = {g: k for k, g in enumerate(idx)}
@@ -273,10 +268,7 @@ def _closed_masks(reach: Sequence[int]) -> list[int]:
 
 
 def _subset_mask(p: Poset, subset: Iterable[str]) -> int:
-    mask = 0
-    for label in subset:
-        mask |= 1 << p.index(label)
-    return mask
+    return _label_mask({e: i for i, e in enumerate(p.elements)}, subset, UnknownLabelError)
 
 
 def open_interval(p: Poset, a, b) -> Poset:

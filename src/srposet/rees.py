@@ -8,8 +8,8 @@ same coefficient from Euler characteristics of lower sets of Q
 (euler_condition_Q, equivalent to euler_condition_interval).
 
 Public functions check Q once at entry (poset._ideal_mask).  _rees_facts
-gathers what a pair needs in any field; _violations lists the properties a
-pair breaks, for rees_cm_report, the uplus command and the sweep.  Every
+takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
+any field; _violations lists the properties the pair breaks.  Every
 chi~ sums one sign vector per poset (poset._chain_signs).  Only the two
 numerators list all chains (_all_chains); the direct one then applies one
 subset Moebius transform outside Q (Bjoerklund, Husfeldt, Kaski and
@@ -76,8 +76,11 @@ class IntPolynomial:
         return f"IntPolynomial({' + '.join(parts)})"
 
 
+_DEGENERATE = "Q is empty or all of P; the biconditional is not asserted"
+
+
 class _ReesFacts(NamedTuple):
-    """What a pair (P, Q) gives whatever the field, with Q checked once."""
+    """What a pair (P, Q) gives whatever the field; Q is checked at entry."""
 
     qmask: int
     cond_q: bool
@@ -93,8 +96,7 @@ def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
     return qmask
 
 
-def _rees_facts(p: Poset, q: Iterable[str]) -> _ReesFacts:
-    qmask = _ideal_mask(p, q)
+def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
     return _ReesFacts(
         qmask,
         _euler_vanishes(p, qmask),
@@ -261,15 +263,15 @@ def rees_cm_report(p: Poset, q: Iterable[str], field: FieldSpec) -> dict:
     flags are still reported, consistency is not asserted (None), and a
     DegenerateQWarning is emitted.
     """
-    return _cm_reports(p, _rees_facts(p, q), [field])[0]
+    report = _cm_reports(p, _rees_facts(p, _ideal_mask(p, q)), [field])[0]
+    if report["degenerate"]:
+        warnings.warn(_DEGENERATE, DegenerateQWarning, stacklevel=2)
+    return report
 
 
 def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[dict]:
-    """rees_cm_report in each field, from the facts of one pair."""
+    """rees_cm_report in each field, from the facts of one pair; no warning."""
     degenerate = facts.qmask == 0 or facts.qmask == (1 << len(p)) - 1
-    if degenerate:
-        msg = "Q is empty or all of P; the biconditional is not asserted"
-        warnings.warn(msg, DegenerateQWarning, stacklevel=3)
     per_field = _field_data(p, fields)
     failed = set() if degenerate else {char for _, char in _violations(p, facts, per_field)}
     delta_up = order_complex(facts.uplus)

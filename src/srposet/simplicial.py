@@ -110,13 +110,7 @@ class SimplicialComplex:
         return [[self.vertices[i] for i in _bits(f)] for f in self.facets]
 
     def face_mask(self, face: Iterable[str]) -> int:
-        mask = 0
-        for v in face:
-            try:
-                mask |= 1 << self.vertices.index(v)
-            except ValueError:
-                raise UnknownVertexError(v) from None
-        return mask
+        return _label_mask({v: i for i, v in enumerate(self.vertices)}, face, UnknownVertexError)
 
     def has_face(self, face: Iterable[str]) -> bool:
         mask = self.face_mask(face)
@@ -133,14 +127,7 @@ def complex_from_facets(
     """
     vertices = tuple(vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    masks = []
-    for facet in facets:
-        mask = 0
-        for v in facet:
-            if v not in index:
-                raise UnknownVertexError(v)
-            mask |= 1 << index[v]
-        masks.append(mask)
+    masks = [_label_mask(index, facet, UnknownVertexError) for facet in facets]
     return SimplicialComplex(vertices, _minimalize_facets(masks or [0]))
 
 
@@ -233,6 +220,18 @@ def _link_facets(facets: tuple[int, ...], sigma: int) -> tuple[int, ...]:
     return tuple([f & ~sigma for f in facets if f & sigma == sigma])
 
 
+def _label_mask(index: dict[str, int], labels: Iterable[str], unknown: type[Exception]) -> int:
+    """The bitmask of the labels' positions in index; the first label not in
+    it raises unknown(label)."""
+    mask = 0
+    for label in labels:
+        try:
+            mask |= 1 << index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise unknown(label) from None
+    return mask
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
@@ -310,8 +309,6 @@ def _betti_masks(facets: tuple[int, ...], char: int) -> tuple[int, ...]:
 
 def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:
     """Rank of the boundary map from card-c faces (upper) to card-(c-1)."""
-    if not upper or not lower:
-        return 0
     index = {f: i for i, f in enumerate(lower)}
     n = len(lower)
     if char == 2:

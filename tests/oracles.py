@@ -297,6 +297,7 @@ def labelled_sweep(max_elements: int, fields) -> tuple[int, tuple | None]:
     as (P, sorted Q, (kind, characteristic)), or None.
     """
     from srposet import all_poset_ideals, enumerate_posets
+    from srposet.poset import _ideal_mask
     from srposet.rees import _field_data, _rees_facts, _violations
 
     pairs = 0
@@ -305,7 +306,7 @@ def labelled_sweep(max_elements: int, fields) -> tuple[int, tuple | None]:
             per_field = _field_data(p, fields)
             for q in all_poset_ideals(p):
                 pairs += 1
-                failure = next(_violations(p, _rees_facts(p, q), per_field), None)
+                failure = next(_violations(p, _rees_facts(p, _ideal_mask(p, q)), per_field), None)
                 if failure:
                     return pairs, (p, sorted(q), failure)
     return pairs, None

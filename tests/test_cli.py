@@ -301,6 +301,15 @@ class TestSweep:
     def test_cap(self, capsys, cap):
         assert main(["sweep", "--max-elements", cap]) == 2
 
+    def test_one_q_check_per_pair(self, monkeypatch, capsys):
+        # the sweep passes each orbit's mask in; only the public lower-set
+        # cross-check, run for a nonempty Q, checks Q again
+        real = rees._ideal_mask
+        checked = []
+        monkeypatch.setattr(rees, "_ideal_mask", lambda p, q: checked.append(list(q)) or real(p, q))
+        assert main(["sweep", "--max-elements", "4"]) == 0
+        assert len(checked) == 107 and all(checked)
+
     def test_failure_is_reported(self, monkeypatch, capsys):
         # if every P counted as Cohen-Macaulay, so would every P (+) Q, and
         # the a-invariant biconditional must break
@@ -331,8 +340,8 @@ class TestSweepFailures:
     def test_euler_conditions_disagree(self, monkeypatch, capsys):
         real = cli._rees_facts
 
-        def flipped(p, q):
-            facts = real(p, q)
+        def flipped(p, qmask):
+            facts = real(p, qmask)
             return facts._replace(cond_interval=not facts.cond_interval)
 
         monkeypatch.setattr(cli, "_rees_facts", flipped)
@@ -342,6 +351,39 @@ class TestSweepFailures:
         # an acyclic complex no longer matches the zero vector it is compared with
         monkeypatch.setattr(rees, "BettiVector", lambda values: BettiVector({-1: 1}))
         self.sweep_fails(capsys, "deleted-star-not-acyclic")
+
+    def test_a_invariant_vs_euler(self, monkeypatch, capsys):
+        # both Euler flags flipped still agree with each other, not with the numerator
+        real = cli._rees_facts
+
+        def flipped(p, qmask):
+            facts = real(p, qmask)
+            return facts._replace(cond_q=not facts.cond_q, cond_interval=not facts.cond_interval)
+
+        monkeypatch.setattr(cli, "_rees_facts", flipped)
+        self.sweep_fails(capsys, "a-invariant-vs-euler")
+
+    def test_betti_not_preserved(self, monkeypatch, capsys):
+        real = cli._field_data
+        monkeypatch.setattr(
+            cli, "_field_data", lambda p, fields: [(f, BettiVector({-1: 7}), cm) for f, _, cm in real(p, fields)]
+        )
+        self.sweep_fails(capsys, "betti-not-preserved")
+
+    def test_interval_condition_but_not_cm(self, monkeypatch, capsys):
+        # P itself keeps its Cohen-Macaulayness; P (+) Q with Q nonempty loses it
+        real = rees.is_cohen_macaulay_complex
+        monkeypatch.setattr(
+            rees, "is_cohen_macaulay_complex",
+            lambda k, f: not any(v.endswith("*") for v in k.vertices) and real(k, f),
+        )
+        self.sweep_fails(capsys, "interval-condition-but-not-cm")
+
+    def test_unique_min_but_not_cm(self, monkeypatch, capsys):
+        real = cli._field_data
+        monkeypatch.setattr(cli, "_field_data", lambda p, fields: [(f, b, True) for f, b, _ in real(p, fields)])
+        monkeypatch.setattr(rees, "is_cohen_macaulay_complex", lambda k, f: False)
+        self.sweep_fails(capsys, "unique-min-but-not-cm")
 
 
 class TestClassSweep:
@@ -367,8 +409,8 @@ class TestClassSweep:
         real = rees._rees_facts
         flipped_on = []
 
-        def flipped(p, q):
-            facts = real(p, q)
+        def flipped(p, qmask):
+            facts = real(p, qmask)
             if _canonical(p.lt)[0] != target:
                 return facts
             flipped_on.append(p)

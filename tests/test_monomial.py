@@ -5,8 +5,10 @@ from srposet import (
     GF2,
     QQ,
     HodgeData,
+    NotAnIdealError,
     NotSquarefreeError,
     UnitIdealError,
+    UnknownLabelError,
     colon_monomial,
     core_hodge,
     depth_monomial_quotient,
@@ -283,6 +285,16 @@ class TestHodge:
         assert quotient.poset.elements == ("b", "c")
         assert quotient.sigma.generators == ((2, 0),)
 
+    def test_quotient_unknown_label(self):
+        p = poset_from_cover_relations(["a", "b"], [("a", "b")])
+        with pytest.raises(UnknownLabelError):
+            hodge_quotient(HodgeData(p, ideal_from_generators(p.elements, [])), ["zz"])
+
+    def test_quotient_not_an_ideal(self):
+        p = poset_from_cover_relations(["a", "b"], [("a", "b")])
+        with pytest.raises(NotAnIdealError):
+            hodge_quotient(HodgeData(p, ideal_from_generators(p.elements, [])), ["b"])
+
     def test_sigma_must_match_poset(self):
         p = poset_from_cover_relations(["a"], [])
         with pytest.raises(ValueError):
@@ -297,6 +309,14 @@ class TestJson:
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
             monomial_ideal_from_json('{"variables": ["x"], "generators": [{"y": 1}]}')
+
+    def test_unknown_variable_in_strings(self):
+        # the same error as from JSON, not a bare KeyError
+        message = "^unknown variable 'zz' in generator$"
+        with pytest.raises(ValueError, match=message):
+            ideal_from_strings(("x",), [[("x", 1), ("zz", 1)]])
+        with pytest.raises(ValueError, match=message):
+            monomial_ideal_from_json('{"variables": ["x"], "generators": [{"zz": 1}]}')
 
     @pytest.mark.parametrize("text", [
         '{"variables": "xy", "generators": []}',

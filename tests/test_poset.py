@@ -84,6 +84,12 @@ class TestConstruction:
         with pytest.raises(UnknownLabelError):
             poset_from_cover_relations(["a"], [("a", "z")])
 
+    def test_first_unknown_label_named(self):
+        p = poset_from_cover_relations(["a", "b"], [("a", "b")])
+        for check in (lambda q: is_poset_ideal(p, q), p.restrict):
+            with pytest.raises(UnknownLabelError, match="^zz$"):
+                check(["a", "zz", "aa"])
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             poset_from_cover_relations(["a", "a"], [])

@@ -25,6 +25,7 @@ from srposet import (
     uplus,
 )
 from srposet import rees
+from srposet.poset import _ideal_mask
 from srposet.rees import _rees_facts
 
 from oracles import direct_numerator
@@ -161,7 +162,10 @@ class TestReport:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             r = rees_cm_report(chain("a", "b"), [], QQ)
-        assert any(issubclass(w.category, DegenerateQWarning) for w in caught)
+        # one warning, with the message the CLI reports, pointing at the caller
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (DegenerateQWarning, "Q is empty or all of P; the biconditional is not asserted", __file__)
+        ]
         assert r["degenerate"] and r["consistent"] is None
         assert r["a_negative"] is None
 
@@ -225,7 +229,7 @@ class TestReesFacts:
         for _ in range(200):
             p = random_poset(rng, [f"e{i}" for i in range(rng.randint(0, 6))])
             q = random_poset_ideal(rng, p)
-            facts = _rees_facts(p, q)
+            facts = _rees_facts(p, _ideal_mask(p, q))
             assert facts.qmask == sum(1 << p.index(e) for e in q)
             assert facts.cond_q == euler_condition_Q(p, q)
             assert facts.cond_interval == euler_condition_interval(p, q)
@@ -235,8 +239,9 @@ class TestReesFacts:
                 assert facts.numerator is None
             assert facts.uplus == uplus(p, q)
 
-    def test_facts_check_q(self):
+    def test_q_checked_at_public_entry(self):
+        # _rees_facts trusts its mask; the public report checks Q first
         with pytest.raises(NotAnIdealError):
-            _rees_facts(chain("a", "b"), ["b"])
+            rees_cm_report(chain("a", "b"), ["b"], QQ)
         with pytest.raises(UnknownLabelError):
-            _rees_facts(chain("a", "b"), ["zz"])
+            rees_cm_report(chain("a", "b"), ["zz"], QQ)

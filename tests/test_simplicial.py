@@ -70,6 +70,14 @@ class TestConstruction:
         with pytest.raises(UnknownVertexError):
             complex_from_facets("ab", [["z"]])
 
+    def test_first_unknown_vertex_named(self):
+        with pytest.raises(UnknownVertexError, match="^z$"):
+            complex_from_facets("ab", [["a"], ["z", "y"]])
+        k = complex_from_facets("ab", [["a", "b"]])
+        with pytest.raises(UnknownVertexError, match="^z$"):
+            k.face_mask(["a", "z", "y"])
+        assert k.face_mask(["b"]) == 2
+
     def test_facets_must_be_sorted(self):
         k = SimplicialComplex(("a", "b", "c"), (1, 6))
         assert k == complex_from_facets("abc", [["b", "c"], ["a"]])

@@ -27,6 +27,7 @@ from srposet import (
     complex_from_facets,
     enumerate_posets,
     euler_condition_interval,
+    ideal_from_generators,
     is_cohen_macaulay_poset,
     link,
     open_interval,
@@ -34,9 +35,10 @@ from srposet import (
     order_complex,
     random_poset,
     random_poset_ideal,
+    stanley_reisner_complex,
     uplus,
 )
-from srposet.poset import Poset, _ideal_orbits, _poset_classes
+from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes
 from srposet.rees import _rees_facts
 from srposet.simplicial import SimplicialComplex
 
@@ -145,6 +147,17 @@ def test_sweep_deleted_star_complexes(built):
     assert len(deleted) == len(classes) == 31
 
 
+def test_stanley_reisner_complexes(built):
+    # the complements of the minimal transversals are kept unminimalized
+    rng = random.Random(106)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+        ideal = ideal_from_generators([f"x{i}" for i in range(n)], [g for g in gens if any(g)])
+        stanley_reisner_complex.__wrapped__(ideal)  # past the cache
+    assert len(built[SimplicialComplex]) == 300
+
+
 class TestIntervalCondition:
     """The interval condition, read from per-poset data, against chains
     enumerated for each lower interval."""
@@ -156,7 +169,7 @@ class TestIntervalCondition:
                 for q in all_poset_ideals(p):
                     want = brute_euler_condition_interval(p, q, chains)
                     assert euler_condition_interval(p, q) == want
-                    assert _rees_facts(p, q).cond_interval == want
+                    assert _rees_facts(p, _ideal_mask(p, q)).cond_interval == want
 
     def test_seeded_pairs_of_five_to_seven_elements(self):
         hits = 0
@@ -165,5 +178,5 @@ class TestIntervalCondition:
             want = brute_euler_condition_interval(p, q)
             hits += want
             assert euler_condition_interval(p, q) == want
-            assert _rees_facts(p, q).cond_interval == want
+            assert _rees_facts(p, _ideal_mask(p, q)).cond_interval == want
         assert 0 < hits < 200
