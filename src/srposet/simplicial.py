@@ -128,7 +128,9 @@ def complex_from_facets(
     vertices = tuple(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     masks = [_label_mask(index, facet, UnknownVertexError) for facet in facets]
-    return SimplicialComplex(vertices, _minimalize_facets(masks or [0]))
+    if len(index) != len(vertices):
+        raise ValueError("duplicate vertex labels")
+    return SimplicialComplex._trusted(vertices, _minimalize_facets(masks or [0]))
 
 
 def link(k: SimplicialComplex, face: Iterable[str]) -> SimplicialComplex:
@@ -345,7 +347,9 @@ def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
     changes no other vertex's facets.  Deleting v keeps the facets without v
     and adds f - v for each facet f containing v unless a kept facet covers
     it; these new faces need no check among themselves, because f - v inside
-    g - v forces f inside g.
+    g - v forces f inside g.  Once the facets share a vertex, the complex is
+    a cone, whose core is a point: its lowest apex is returned at once.  A
+    complex whose core is not a point never becomes a cone.
     """
     current = list(facets)
     todo = 0
@@ -354,10 +358,13 @@ def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
     while todo:
         bit = todo & -todo
         todo ^= bit
-        inter = ~0
+        inter = common = ~0
         for f in current:
+            common &= f
             if f & bit:
                 inter &= f
+        if common:
+            return (common & -common,)  # a cone: it collapses to its apex
         if inter == bit:
             continue  # no other vertex lies in every facet containing v
         kept = [f for f in current if not f & bit]

@@ -42,7 +42,7 @@ from srposet.simplicial import (
 )
 
 from oracles import restart_strong_collapse
-from test_simplicial import rp2
+from test_simplicial import rp2, triangle_boundary
 
 
 def all_faces(k):
@@ -201,12 +201,42 @@ def test_strong_collapse_matches_restart_oracle():
         expected = restart_strong_collapse(facets)
         assert _shape(core) == _shape(expected), facets
         assert _strong_collapse(core) == core, facets
-        for char in (0, 2, 3):
-            got = _betti_masks(_compact_key(core), char)
-            want = _betti_masks(_compact_key(expected), char)
-            width = max(len(got), len(want))
-            assert (got + (0,) * (width - len(got))
-                    == want + (0,) * (width - len(want))), (facets, char)
+        _assert_same_betti(core, expected, (0, 2, 3), facets)
+
+
+def _assert_same_betti(core, expected, chars, facets):
+    for char in chars:
+        got = _betti_masks(_compact_key(core), char)
+        want = _betti_masks(_compact_key(expected), char)
+        width = max(len(got), len(want))
+        assert (got + (0,) * (width - len(got))
+                == want + (0,) * (width - len(want))), (facets, char)
+
+
+def test_cone_exit_matches_restart_oracle_on_section3_links():
+    # the links of the symmetric-matrix example are never cones themselves,
+    # and most of them become one after a few deletions
+    for n in (4, 5):
+        facets = _stripped_key(_section3_fixed(n)["polarized"][0].facets)
+        for sigma in _closed_faces(facets):
+            lk = _link_facets(facets, sigma)
+            core = _strong_collapse(lk)
+            expected = restart_strong_collapse(lk)
+            assert _shape(core) == _shape(expected), (n, sigma)
+            _assert_same_betti(core, expected, (0, 2), (n, sigma))
+
+
+def test_cone_exit_after_one_deletion():
+    # the path ab, bc, cd: deleting a (dominated by b) leaves bc, cd, a cone
+    # with apex c; no vertex is shared before that
+    path = (0b0011, 0b0110, 0b1100)
+    assert _strong_collapse(path) == (0b0100,)
+    assert _shape(restart_strong_collapse(path)) == (1, [1])
+
+
+def test_cone_exit_keeps_cores_without_dominated_vertices():
+    for k in (triangle_boundary(), rp2()):
+        assert _strong_collapse(k.facets) == k.facets, k
 
 
 def test_link_facets_need_no_minimalizing_on_antichains():

@@ -78,6 +78,12 @@ class TestConstruction:
             k.face_mask(["a", "z", "y"])
         assert k.face_mask(["b"]) == 2
 
+    def test_duplicate_labels(self):
+        with pytest.raises(ValueError, match="^duplicate vertex labels$"):
+            complex_from_facets(["a", "b", "a"], [["a", "b"]])
+        with pytest.raises(ValueError, match="^duplicate vertex labels$"):
+            complex_from_facets("aa", [])
+
     def test_facets_must_be_sorted(self):
         k = SimplicialComplex(("a", "b", "c"), (1, 6))
         assert k == complex_from_facets("abc", [["b", "c"], ["a"]])

@@ -116,6 +116,17 @@ def test_order_complexes_and_links(built):
     assert len(built[SimplicialComplex]) > 1000
 
 
+def test_complexes_from_facet_labels(built):
+    # repeated, nested and empty facets, and vertices no facet covers
+    rng = random.Random(107)
+    for _ in range(200):
+        verts = [f"v{i}" for i in range(rng.randint(0, 7))]
+        facets = [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(0, 6))]
+        facets += rng.sample(facets, min(2, len(facets)))
+        complex_from_facets(verts, facets)
+    assert len(built[SimplicialComplex]) == 200
+
+
 def test_interval_complexes(built):
     for _, p in seeded_posets(104, 60, (4, 7)):
         for field in (QQ, GF2):
