@@ -92,10 +92,10 @@ def _depth_masks(facets: tuple[int, ...], char: int) -> int:
 def _link_depth(
     facets: tuple[int, ...], char: int, bound: int, nonempty: bool = False
 ) -> int:
-    """min(bound, |s| + 1 + jmin(lk s)) over the closed faces s that are not
-    facets, and only the nonempty ones if asked.  A facet's link {emptyset}
-    gives |s|, which the callers' bound already covers.  `facets` keys the
-    shared levels, so callers pass them compacted.
+    """min(bound, |s| + 1 + jmin(lk s)) over the closed faces s, and only
+    the nonempty ones if asked.  The bound is at most the smallest facet (a
+    facet's link {emptyset} gives |s|), so facet levels are never reached.
+    `facets` keys the shared levels, so callers pass them compacted.
 
     A level's links are collapsed the first time a call reaches it, whole,
     and only while faces of that size can still lower the bound."""
@@ -123,20 +123,18 @@ def _link_depth(
 @lru_cache(maxsize=8)
 def _link_cores(facets: tuple[int, ...]):
     """The field-independent half of `_link_depth`, once per facet
-    antichain: the closed faces that are not facets as (size, faces) levels
-    by increasing size, and a list of per-level core tuples, empty until
-    `_link_depth` extends it as far as some call needs.  A core is the
-    compacted strong collapse of lk s; single points are left out.
+    antichain: the closed faces as (size, faces) levels by increasing size
+    (facets included, never reached), and a list of per-level core tuples,
+    empty until `_link_depth` extends it as far as some call needs.  A core
+    is the compacted strong collapse of lk s; single points are left out.
 
     Bounded, because the complexes worth keeping are the few a caller
     revisits at once (the fields of one complex, depth then Buchsbaum, an
     ideal and its core), while a sweep passes through tens of thousands.
     """
-    facet_set = set(facets)
     levels: dict[int, list[int]] = {}
     for sigma in _closed_faces(facets):  # sorted by size
-        if sigma not in facet_set:
-            levels.setdefault(sigma.bit_count(), []).append(sigma)
+        levels.setdefault(sigma.bit_count(), []).append(sigma)
     return tuple(levels.items()), []
 
 

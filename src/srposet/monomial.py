@@ -34,7 +34,8 @@ def _minimal_generators(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Minimal generating set of exponent vectors over named variables."""
+    """Minimal generating set of exponent vectors over named variables;
+    any generating set given is minimalized and sorted."""
 
     variables: tuple[str, ...]
     generators: tuple[tuple[int, ...], ...]
@@ -46,8 +47,7 @@ class MonomialIdeal:
         for g in self.generators:
             if len(g) != n or any(e < 0 for e in g):
                 raise ValueError("bad exponent vector")
-        if self.generators != _minimal_generators(self.generators):
-            raise ValueError("generating set is not minimal/sorted")
+        object.__setattr__(self, "generators", _minimal_generators(self.generators))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({list(self.variables)!r}, {self.generator_strings()!r})"
@@ -84,9 +84,7 @@ def ideal_from_generators(
     variables: Sequence[str], generators: Iterable[Sequence[int]]
 ) -> MonomialIdeal:
     """Build an ideal, minimalizing the generating set."""
-    variables = tuple(variables)
-    gens = _minimal_generators(tuple(g) for g in generators)
-    return MonomialIdeal(variables, gens)
+    return MonomialIdeal(tuple(variables), tuple(tuple(g) for g in generators))
 
 
 def ideal_from_strings(

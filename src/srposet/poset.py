@@ -263,8 +263,13 @@ def _is_closed(reach: Sequence[int], mask: int) -> bool:
 
 
 def _closed_masks(reach: Sequence[int]) -> list[int]:
-    """Every mask over the len(reach) bits that _is_closed accepts."""
-    return [s for s in range(1 << len(reach)) if _is_closed(reach, s)]
+    """Every mask over the len(reach) bits that _is_closed accepts, in
+    increasing order: the unions of the masks {j} | reach[j], folded in one
+    j at a time, so `reach` must be transitively closed."""
+    closed = {0}
+    for j, row in enumerate(reach):
+        closed.update(map((1 << j | row).__or__, tuple(closed)))
+    return sorted(closed)
 
 
 def _subset_mask(p: Poset, subset: Iterable[str]) -> int:

@@ -271,10 +271,15 @@ class TestDetsym:
         assert main(["detsym", "--n", "99"]) == 2
 
     def test_n6_within_default_cap(self, capsys):
-        code, rep = run_json(capsys, ["detsym", "--n", "6", "--json", "--char", "0"])
+        code, rep = run_json(
+            capsys, ["detsym", "--n", "6", "--json", "--char", "0", "--char", "2"]
+        )
         assert code == 0
         assert rep["dim"] == 6 and rep["core_dim"] == 4
-        assert rep["fields"] == [{"char": 0, "depth": 2, "core_depth": 0}]
+        assert rep["fields"] == [
+            {"char": 0, "depth": 2, "core_depth": 0},
+            {"char": 2, "depth": 2, "core_depth": 0},
+        ]
         assert main(["detsym", "--n", "7"]) == 2
 
     def test_n_too_small(self, capsys):

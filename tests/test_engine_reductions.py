@@ -177,10 +177,10 @@ def test_strong_collapse_preserves_betti_numbers():
             assert padded == raw, (k, char)
 
 
-def random_antichain(rng, max_vertices=10):
+def random_antichain(rng, max_vertices=10, max_facets=8):
     n = rng.randint(1, max_vertices)
     return _minimalize_facets(
-        [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
+        [rng.getrandbits(n) for _ in range(rng.randint(1, max_facets))]
     )
 
 
@@ -250,6 +250,27 @@ def test_link_facets_need_no_minimalizing_on_antichains():
                 [f & ~sigma for f in facets if f & sigma == sigma]
             )
             assert got == want, (facets, sigma)
+
+
+def subset_meets(facets):
+    """The intersections of every nonempty set of facets, by size and then
+    by value."""
+    meets = set()
+    for r in range(1, len(facets) + 1):
+        for subset in combinations(facets, r):
+            meet = subset[0]
+            for f in subset:
+                meet &= f
+            meets.add(meet)
+    return sorted(meets, key=lambda m: (m.bit_count(), m))
+
+
+def test_closed_faces_are_the_meets_of_facet_subsets():
+    rng = random.Random(15)
+    complexes = [random_antichain(rng, max_facets=9) for _ in range(300)]
+    complexes += [_stripped_key(_section3_fixed(n)["polarized"][0].facets) for n in (3, 4)]
+    for facets in complexes:
+        assert _closed_faces(facets) == subset_meets(facets), facets
 
 
 def _complex_of(facets):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from srposet import (
     GF2,
     QQ,
     HodgeData,
+    MonomialIdeal,
     NotAnIdealError,
     NotSquarefreeError,
     UnitIdealError,
@@ -73,6 +76,19 @@ class TestMinimalization:
     def test_zero_ideal(self):
         ideal = ideal_from_generators(("x",), [])
         assert ideal.is_zero() and ideal.is_proper()
+
+    def test_constructor_normalizes_as_ideal_from_generators(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            variables = tuple(f"x{i}" for i in range(n))
+            gens = [tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(rng.randint(0, 6))]
+            gens += rng.sample(gens, len(gens) // 2)  # duplicates
+            rng.shuffle(gens)
+            ideal = MonomialIdeal(variables, tuple(gens))
+            assert ideal == ideal_from_generators(variables, gens), gens
+            assert MonomialIdeal(variables, ideal.generators) == ideal
 
 
 class TestPolarize:

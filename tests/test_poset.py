@@ -35,6 +35,7 @@ from srposet.poset import (
     _canonical,
     _chain_facets,
     _chain_signs,
+    _closed_masks,
     _ideal_orbits,
     _poset_classes,
 )
@@ -251,6 +252,23 @@ class TestIdeals:
     def test_ideal_enumeration_count(self):
         # down-sets of the diamond: {}, {a}, {ab}, {ac}, {abc}, {abcd}
         assert len(list(all_poset_ideals(DIAMOND))) == 6
+
+    def test_long_chain_ideals_are_not_found_by_subset_search(self):
+        # 25 ideals among 2^24 subsets
+        p = chain(*(f"e{i}" for i in range(24)))
+        start = time.process_time()
+        ideals = list(all_poset_ideals(p))
+        assert time.process_time() - start < 1.0
+        assert len(ideals) == 25
+        assert sorted(map(len, ideals)) == list(range(25))
+
+    def test_closed_masks_match_subset_enumeration(self):
+        # up-sets from lt, down-sets from down_masks(), both increasing
+        rng = random.Random(41)
+        for _ in range(200):
+            p = random_poset(rng, "abcdefgh"[: rng.randint(0, 8)], edge_prob=rng.random())
+            assert _closed_masks(p.lt) == _closed_masks_of(p.down_masks()), p
+            assert _closed_masks(p.down_masks()) == _closed_masks_of(p.lt), p
 
 
 class TestUplus:
