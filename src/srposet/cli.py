@@ -165,13 +165,10 @@ def cmd_uplus(args) -> int:
 def cmd_detsym(args) -> int:
     try:
         detsym_mod.check_cap(args.n, args.cap)
-        if args.n < 3:
-            raise ValueError("n must be at least 3")
-    except (CapExceededError, ValueError) as exc:
+        reps = [detsym_mod.reproduce_section3(args.n, f) for f in _fields_from_args(args)]
+    except (CapExceededError, ValueError) as exc:  # ValueError: n < 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fields = _fields_from_args(args)
-    reps = [detsym_mod.reproduce_section3(args.n, f) for f in fields]
     per_field = [
         {"char": rep["field"]["char"], "depth": rep["depth"], "core_depth": rep["core_depth"]}
         for rep in reps

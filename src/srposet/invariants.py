@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyComplexError
-from .poset import Poset, _chain_facets
+from .poset import Poset, _chain_facets, _cover_masks
 from .simplicial import (
     FieldSpec,
     SimplicialComplex,
@@ -142,11 +142,13 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
     """Interval criterion: every open interval of P (with formal bottom and
     top adjoined) has an order complex with homology only in top degree.
 
-    Deliberately implemented on the chains of each interval mask, read
-    through reduced_betti_numbers, independently of the link-based test.
+    Deliberately implemented on the chains of each interval mask, walked on
+    P's covers found once per call and read through reduced_betti_numbers,
+    independently of the link-based test.
     """
     n = len(p)
     full = (1 << n) - 1
+    covers = _cover_masks(p.lt)
     # index -1 of `up` is the formal bottom, index n of `down` the formal top
     up = (*p.lt, full)
     down = (*p.down_masks(), full)
@@ -155,7 +157,7 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
             mask = up[a] & down[b]
             if not mask & (mask - 1):
                 continue  # at most one element: dimension -1 or 0, as below
-            facets = _chain_facets(p.lt, mask)
+            facets = _chain_facets(covers, mask)
             d = max(f.bit_count() for f in facets) - 1
             if d <= 0:
                 # d = -1: nothing below top degree; d = 0: only beta_{-1}

@@ -41,13 +41,15 @@ class MonomialIdeal:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
+        gens = tuple(map(tuple, self.generators))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         n = len(self.variables)
-        for g in self.generators:
+        for g in gens:
             if len(g) != n or any(e < 0 for e in g):
                 raise ValueError("bad exponent vector")
-        object.__setattr__(self, "generators", _minimal_generators(self.generators))
+        object.__setattr__(self, "generators", _minimal_generators(gens))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({list(self.variables)!r}, {self.generator_strings()!r})"
@@ -84,7 +86,7 @@ def ideal_from_generators(
     variables: Sequence[str], generators: Iterable[Sequence[int]]
 ) -> MonomialIdeal:
     """Build an ideal, minimalizing the generating set."""
-    return MonomialIdeal(tuple(variables), tuple(tuple(g) for g in generators))
+    return MonomialIdeal(variables, generators)
 
 
 def ideal_from_strings(

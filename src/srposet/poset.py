@@ -46,6 +46,8 @@ class Poset:
     lt: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "lt", tuple(self.lt))
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise ValueError("duplicate element labels")
@@ -57,18 +59,7 @@ class Poset:
                 raise ValueError("relation bit out of range")
             if (row >> i) & 1:
                 raise CycleError(f"{self.elements[i]} < {self.elements[i]}")
-        # closed + irreflexive implies antisymmetric, so no separate check.
-        # Once j passes, lt[j] is skipped; complete by induction on |lt[i]|:
-        # a skipped j' lies in lt[j], strictly smaller than lt[i] (no j), so
-        # lt[j'] lies in lt[j], which lies in lt[i].
-        for i in range(n):
-            row = self.lt[i]
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                if self.lt[j] & ~row:
-                    raise ValueError("relation is not transitively closed")
-                m &= ~(self.lt[j] | (1 << j))
+        _cover_masks(self.lt)  # the closure check; closed + irreflexive is antisymmetric
 
     @classmethod
     def _trusted(cls, elements: tuple[str, ...], lt: tuple[int, ...]) -> "Poset":
@@ -112,8 +103,7 @@ class Poset:
 
     def cover_pairs_idx(self) -> list[tuple[int, int]]:
         """Hasse diagram as (lower, upper) index pairs."""
-        covers = _cover_masks(self.lt, (1 << len(self.lt)) - 1)
-        return [(i, j) for i, up in enumerate(covers) for j in _bits(up)]
+        return [(i, j) for i, up in enumerate(_cover_masks(self.lt)) for j in _bits(up)]
 
     def minimal_idx(self) -> list[int]:
         above = 0
@@ -211,7 +201,7 @@ def _least_on_cycle(rows: Sequence[int], left: Iterable[int]) -> int:
 def is_pure(p: Poset) -> bool:
     """True iff all maximal chains of p have the same cardinality."""
     n = len(p)
-    covers = _cover_masks(p.lt, (1 << n) - 1)
+    covers = _cover_masks(p.lt)
     # lengths of the maximal chains from each element, computed top down:
     # an element has fewer elements above it than anything below it
     lengths = [frozenset([1])] * n
@@ -321,50 +311,47 @@ def _uplus_mask(p: Poset, qmask: int) -> Poset:
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """The simplicial complex of chains of p; facets are maximal chains."""
-    return SimplicialComplex._trusted(p.elements, _chain_facets(p.lt, (1 << len(p)) - 1))
+    facets = _chain_facets(_cover_masks(p.lt), (1 << len(p)) - 1)
+    return SimplicialComplex._trusted(p.elements, facets)
 
 
-def _cover_masks(lt: Sequence[int], mask: int) -> list[int]:
-    """Covers in the order induced on a bitmask: entry i is row i minus the
-    rows of the elements above i, all within the mask (0 outside it)."""
-    covers = [0] * len(lt)
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        row = lt[i] & mask
+def _cover_masks(lt: Sequence[int]) -> list[int]:
+    """The covers of a strict order: entry i is row i minus the rows above
+    it.  Also the closure check: raises if a row it visits leaves row i.
+    Once j passes, lt[j] is skipped; complete by induction on |lt[i]|: a
+    skipped j' lies in lt[j], strictly smaller than lt[i] (no j), so lt[j']
+    lies in lt[j], which lies in lt[i]."""
+    covers = []
+    for row in lt:
         reach = 0
         t = row
         while t:
             j = (t & -t).bit_length() - 1
+            if lt[j] & ~row:
+                raise ValueError("relation is not transitively closed")
             reach |= lt[j]
-            t &= ~(lt[j] | (1 << j))  # lt is closed: what is above j adds nothing
-        covers[i] = row & ~reach
-        m &= m - 1
+            t &= ~(lt[j] | (1 << j))
+        covers.append(row & ~reach)
     return covers
 
 
-def _chain_facets(lt: Sequence[int], mask: int) -> tuple[int, ...]:
-    """The maximal chains of the order induced on a bitmask, as sorted facet
-    masks over the same bits; (0,) for the empty mask.
-
-    Each maximal chain is one path up the Hasse diagram from a formal
-    bottom, covered by the minimal elements, so no chain is found twice.
-    """
-    covers = _cover_masks(lt, mask)
+def _chain_facets(covers: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The maximal chains of a convex mask (an interval, a down-set, an
+    up-set or all of P) as sorted facet masks; (0,) for the empty mask.
+    Inside a convex set the covers are P's covers masked, so each maximal
+    chain is one path up from an element no element of the mask covers."""
     bottom = mask
-    for up in covers:
-        bottom &= ~up
-    covers.append(bottom)
-    stack = [(len(lt), 0)]
+    for x in _bits(mask):
+        bottom &= ~covers[x]
+    stack = [(bottom, 0)]
     chains = []
     while stack:
-        x, chain = stack.pop()
-        up = covers[x]
+        up, chain = stack.pop()
         if not up:
             chains.append(chain)
         while up:
             low = up & -up
-            stack.append((low.bit_length() - 1, chain | low))
+            stack.append((covers[low.bit_length() - 1] & mask, chain | low))
             up ^= low
     return tuple(sorted(chains))
 

@@ -81,6 +81,8 @@ class SimplicialComplex:
     facets: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "facets", tuple(self.facets))
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         if not self.facets:
@@ -89,7 +91,7 @@ class SimplicialComplex:
         for f in self.facets:
             if f & ~full:
                 raise ValueError("facet bit out of range")
-        if tuple(self.facets) != _minimalize_facets(self.facets):
+        if self.facets != _minimalize_facets(self.facets):
             raise ValueError("facets must be an inclusion-antichain, sorted")
 
     @classmethod

@@ -4,8 +4,9 @@ Everything here is deliberately naive: subset enumeration for chains and
 faces, Smith normal form over the integers for homology, Fraction-based
 Gaussian elimination for ranks, Warshall's pass for transitive closure.
 None of it shares code with the library's computation paths, except the
-labelled sweep, which enumerates pairs naively but checks them with the
-library's pair report.
+interval criterion, which takes each interval and its order complex from
+the public labelled functions, and the labelled sweep, which enumerates
+pairs naively but checks them with the library's pair report.
 """
 
 from __future__ import annotations
@@ -234,6 +235,26 @@ def betti_via_snf(k, char: int) -> dict[int, int]:
         upper = ranks[card + 1] if card + 1 <= maxc else 0
         betti[card - 1] = by_card.get(card, 0) - ranks[card] - upper
     return betti
+
+
+def interval_cm(p, char: int) -> bool:
+    """The interval criterion for Cohen-Macaulayness of a poset: every open
+    interval of P, formal ends included, has reduced homology only in top
+    degree.  Each interval is built as a Poset by open_interval, its order
+    complex by order_complex on that subposet, and its homology by integer
+    Smith normal form, so neither the library's interval masks nor its
+    ranks are used."""
+    from srposet import NEG_INF, POS_INF, open_interval, order_complex
+
+    for a in [NEG_INF, *p.elements]:
+        for b in [*p.elements, POS_INF]:
+            if a is not NEG_INF and b is not POS_INF and not p.less(a, b):
+                continue
+            k = order_complex(open_interval(p, a, b))
+            betti = betti_via_snf(k, char)
+            if any(betti.get(i, 0) for i in range(-1, k.dim())):
+                return False
+    return True
 
 
 def _minimalize(masks) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from srposet import (
     complex_from_facets,
     complex_report,
     depth_stanley_reisner,
+    enumerate_posets,
     is_buchsbaum_complex,
     is_cohen_macaulay_complex,
     is_cohen_macaulay_poset,
@@ -20,6 +21,7 @@ from srposet import (
     random_poset,
 )
 
+from oracles import interval_cm
 from test_simplicial import rp2
 
 
@@ -73,6 +75,26 @@ class TestCohenMacaulayPoset:
                 assert is_cohen_macaulay_poset(p, field) == is_cohen_macaulay_complex(
                     order_complex(p), field
                 ), p
+
+
+class TestIntervalOracle:
+    """The interval test against an oracle that builds each interval as a
+    labelled poset and reads its homology by Smith normal form."""
+
+    FIELDS = (QQ, GF2, FieldSpec(3))
+
+    def test_every_poset_up_to_four_elements(self):
+        for n in range(5):
+            for p in enumerate_posets("abcd"[:n]):
+                for field in self.FIELDS:
+                    assert is_cohen_macaulay_poset(p, field) == interval_cm(p, field.characteristic), p
+
+    def test_random_posets_on_five_to_seven_elements(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            p = random_poset(rng, "abcdefg"[: rng.randint(5, 7)])
+            for field in self.FIELDS:
+                assert is_cohen_macaulay_poset(p, field) == interval_cm(p, field.characteristic), p
 
 
 class TestBuchsbaum:

@@ -77,6 +77,13 @@ class TestMinimalization:
         ideal = ideal_from_generators(("x",), [])
         assert ideal.is_zero() and ideal.is_proper()
 
+    def test_list_fields_become_tuples(self):
+        ideal = MonomialIdeal(("x", "y"), ((1, 1),))
+        assert MonomialIdeal(["x", "y"], [(1, 1)]) == ideal
+        assert MonomialIdeal(("x", "y"), [[1, 1]]) == ideal
+        k = stanley_reisner_complex(MonomialIdeal(["x", "y"], [(1, 1)]))
+        assert k.facet_labels() == [["x"], ["y"]]
+
     def test_constructor_normalizes_as_ideal_from_generators(self):
         rng = random.Random(8)
         for _ in range(200):

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from srposet import (
     NEG_INF,
     POS_INF,
+    QQ,
     CycleError,
     NotAnIdealError,
     NotComparableError,
     UnknownLabelError,
     all_poset_ideals,
     enumerate_posets,
+    euler_condition_Q,
     is_poset_ideal,
     is_pure,
     open_interval,
@@ -28,6 +30,7 @@ from srposet import (
     random_poset,
     random_poset_ideal,
     reduced_euler_char_poset,
+    rees_cm_report,
     uplus,
 )
 from srposet.poset import (
@@ -36,6 +39,7 @@ from srposet.poset import (
     _chain_facets,
     _chain_signs,
     _closed_masks,
+    _cover_masks,
     _ideal_orbits,
     _poset_classes,
 )
@@ -94,6 +98,13 @@ class TestConstruction:
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             poset_from_cover_relations(["a", "a"], [])
+
+    def test_list_fields_become_tuples(self):
+        p = Poset(["a", "b"], [2, 0])
+        assert p == Poset(("a", "b"), (2, 0))
+        assert hash(p) == hash(Poset(("a", "b"), (2, 0)))
+        assert euler_condition_Q(p, ["a"])
+        assert rees_cm_report(p, ["a"], QQ)["consistent"]
 
     def test_longer_cycle(self):
         with pytest.raises(CycleError):
@@ -365,27 +376,58 @@ def is_convex(p, mask):
     )
 
 
+def interval_masks(p):
+    """Every open interval of p as a mask, formal ends included."""
+    full = (1 << len(p)) - 1
+    up = (*p.lt, full)  # index -1: the formal bottom
+    down = (*p.down_masks(), full)  # index len(p): the formal top
+    return [up[a] & down[b] for a in range(-1, len(p)) for b in [*_bits(up[a]), len(p)]]
+
+
+def brute_covers(p):
+    """Entry i: the j with i < j and nothing strictly between them."""
+    n = len(p)
+    return [
+        sum(1 << j for j in _bits(p.lt[i])
+            if not any((p.lt[i] >> k) & (p.lt[k] >> j) & 1 for k in range(n)))
+        for i in range(n)
+    ]
+
+
+class TestCoverMasks:
+    def test_against_brute_covers(self):
+        rng = random.Random(17)
+        posets = [p for n in range(5) for p in enumerate_posets("abcd"[:n])]
+        posets += [random_poset(rng, "abcdefgh"[: rng.randint(5, 8)]) for _ in range(60)]
+        for p in posets:
+            assert _cover_masks(p.lt) == brute_covers(p), p
+
+    def test_unclosed_relation_rejected(self):
+        # a < b < c without a < c
+        with pytest.raises(ValueError, match="^relation is not transitively closed$"):
+            _cover_masks((0b010, 0b100, 0))
+
+
 class TestChainFacets:
     def test_empty_mask(self):
-        assert _chain_facets(DIAMOND.lt, 0) == (0,)
-        assert _chain_facets((), 0) == (0,)
+        assert _chain_facets(_cover_masks(DIAMOND.lt), 0) == (0,)
+        assert _chain_facets([], 0) == (0,)
 
-    def test_every_mask_up_to_four_elements(self):
+    def test_every_convex_mask_up_to_four_elements(self):
         for n in range(5):
             for p in enumerate_posets("abcd"[:n]):
+                covers = _cover_masks(p.lt)
                 for mask in range(1 << n):
-                    assert _chain_facets(p.lt, mask) == brute_chain_facets(p, mask), (p, mask)
+                    if is_convex(p, mask):
+                        assert _chain_facets(covers, mask) == brute_chain_facets(p, mask), (p, mask)
 
-    def test_random_masks_on_five_to_eight_elements(self):
+    def test_every_interval_on_five_to_eight_elements(self):
         rng = random.Random(31)
-        non_convex = 0
         for _ in range(60):
             p = random_poset(rng, "abcdefgh"[: rng.randint(5, 8)])
-            for _ in range(8):
-                mask = rng.getrandbits(len(p))
-                non_convex += not is_convex(p, mask)
-                assert _chain_facets(p.lt, mask) == brute_chain_facets(p, mask), (p, mask)
-        assert non_convex > 100
+            covers = _cover_masks(p.lt)
+            for mask in interval_masks(p):
+                assert _chain_facets(covers, mask) == brute_chain_facets(p, mask), (p, mask)
 
 
 class TestEulerChar:

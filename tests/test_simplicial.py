@@ -61,6 +61,11 @@ class TestConstruction:
         k = complex_from_facets("ab", [["a"], ["b"]])
         assert len(k.facets) == 2
 
+    def test_list_fields_become_tuples(self):
+        k = SimplicialComplex(["a", "b"], [1, 2])
+        assert k == SimplicialComplex(("a", "b"), (1, 2))
+        assert reduced_betti_numbers(k, QQ).values == {-1: 0, 0: 1}
+
     def test_empty_face_complex(self):
         k = complex_from_facets([], [[]])
         assert k.facets == (0,)
