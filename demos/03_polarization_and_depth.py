@@ -18,6 +18,7 @@ from srposet import (
     colon_monomial,
     core_hodge,
     depth_monomial_quotient,
+    depth_stanley_reisner,
     dim_monomial_quotient,
     hodge_quotient,
     ideal_from_strings,
@@ -84,3 +85,11 @@ complex3 = stanley_reisner_complex(polarized3)
 print("polarized complex:", len(complex3.vertices), "vertices,",
       len(complex3.facets), "facets; sizes",
       sorted({f.bit_count() for f in complex3.facets}))
+
+# depth_monomial_quotient never polarizes: it takes the least depth of the
+# Stanley-Reisner rings of the radicals of I : x^b (Takayama's formula).
+# Polarization gives the same number: the aux extra variables form a
+# regular sequence, so the polarized depth exceeds it by exactly aux.
+polarized_depth = depth_stanley_reisner(complex3, QQ)
+print("polarized depth", polarized_depth, "- aux", aux3, "=",
+      polarized_depth - aux3, "= depth", depth_monomial_quotient(quad, QQ))

@@ -16,10 +16,10 @@ equidimensional complex reaching dim.  Exact reductions keep it desk-scale:
 * the collapse does not depend on the field, so the link cores are
   computed once per complex and level, the first time a call reaches that
   level (facets compacted, so equal complexes on other vertex labels count
-  as one), and shared by every field, by depth, CM and Buchsbaum, and by a
-  monomial ideal and its core, whose polarized complexes differ only by
-  cone points.  Cores that are a single point are acyclic over every field
-  and are not kept.
+  as one), and shared by every field and by depth, CM and Buchsbaum;
+  complexes that differ only by cone points, such as the polarized
+  complexes of a monomial ideal and of its core, share one scan.  Cores that
+  are a single point are acyclic over every field and are not kept.
 
 No approximation is involved anywhere.
 """

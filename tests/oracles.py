@@ -5,8 +5,10 @@ faces, Smith normal form over the integers for homology, Fraction-based
 Gaussian elimination for ranks, Warshall's pass for transitive closure.
 None of it shares code with the library's computation paths, except the
 interval criterion, which takes each interval and its order complex from
-the public labelled functions, and the labelled sweep, which enumerates
-pairs naively but checks them with the library's pair report.
+the public labelled functions, the labelled sweep, which enumerates pairs
+naively but checks them with the library's pair report, and the depth of a
+monomial quotient by polarization, which reads one complex through the
+public depth_stanley_reisner where the library walks Takayama's complexes.
 """
 
 from __future__ import annotations
@@ -255,6 +257,20 @@ def interval_cm(p, char: int) -> bool:
             if any(betti.get(i, 0) for i in range(-1, k.dim())):
                 return False
     return True
+
+
+def depth_via_polarization(ideal, field) -> int:
+    """Depth of S/I by the route Takayama's formula replaces: polarize I,
+    take the depth of the Stanley-Reisner ring of the squarefree result, and
+    subtract the auxiliary variables, which form a regular sequence.  Built
+    from the public polarize, stanley_reisner_complex and
+    depth_stanley_reisner; the face ring of {emptyset} is the field, of
+    depth 0."""
+    from srposet import depth_stanley_reisner, polarize, stanley_reisner_complex
+
+    polarized, aux = polarize(ideal)
+    k = stanley_reisner_complex(polarized)
+    return (0 if k.facets == (0,) else depth_stanley_reisner(k, field)) - aux
 
 
 def _minimalize(masks) -> tuple[int, ...]:

@@ -280,7 +280,26 @@ class TestDetsym:
             {"char": 0, "depth": 2, "core_depth": 0},
             {"char": 2, "depth": 2, "core_depth": 0},
         ]
-        assert main(["detsym", "--n", "7"]) == 2
+
+    def test_n7_within_default_cap(self, capsys):
+        code, rep = run_json(
+            capsys, ["detsym", "--n", "7", "--json", "--char", "0", "--char", "2"]
+        )
+        assert code == 0
+        assert (rep["dim"], rep["core_dim"], rep["aux_vars"]) == (7, 5, 21)
+        assert rep["fields"] == [
+            {"char": 0, "depth": 2, "core_depth": 0},
+            {"char": 2, "depth": 2, "core_depth": 0},
+        ]
+        assert rep["facet_cards"] == [23, 28]
+        assert rep["facets_verified"] is True
+        assert rep["regular_pair"] == ["X11", "X77"]
+
+    def test_n8_beyond_default_cap(self, capsys):
+        assert main(["detsym", "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=8 exceeds the cap 7\n"
 
     def test_n_too_small(self, capsys):
         assert main(["detsym", "--n", "2"]) == 2

@@ -17,6 +17,7 @@ from srposet import (
     QQ,
     FieldSpec,
     SimplicialComplex,
+    a_dis_ideal_t2,
     complex_from_facets,
     depth_stanley_reisner,
     is_buchsbaum_complex,
@@ -25,12 +26,15 @@ from srposet import (
     is_equidimensional,
     link,
     order_complex,
+    polarize,
     random_poset,
     reduced_betti_numbers,
+    stanley_reisner_complex,
 )
 from srposet import invariants
 from srposet.detsym import _section3_fixed
 from srposet.invariants import _link_cores
+from srposet.monomial import _core_ideal
 from srposet.poset import NEG_INF, POS_INF, open_interval
 from srposet.simplicial import (
     _betti_masks,
@@ -413,8 +417,8 @@ def _stripped_key(facets):
 
 def test_section3_ideal_and_core_share_one_scan():
     for n in (3, 4, 5):
-        fixed = _section3_fixed(n)
-        full, core = fixed["polarized"][0], fixed["core_polarized"][0]
+        full = _section3_fixed(n)["polarized"][0]
+        core = stanley_reisner_complex(polarize(_core_ideal(a_dis_ideal_t2(n)))[0])
         assert _stripped_key(full.facets) == _stripped_key(core.facets), n
         _link_cores.cache_clear()
         depth_stanley_reisner(full, GF2)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from srposet import (
     GF2,
     QQ,
+    FieldSpec,
     HodgeData,
     MonomialIdeal,
     NotAnIdealError,
     NotSquarefreeError,
     UnitIdealError,
     UnknownLabelError,
+    a_dis_ideal_t2,
     colon_monomial,
     core_hodge,
     depth_monomial_quotient,
@@ -28,6 +31,10 @@ from srposet import (
     radical_monomial,
     stanley_reisner_complex,
 )
+from srposet.monomial import _core_ideal, _minimal_transversals
+
+from oracles import depth_via_polarization
+from test_engine_reductions import naive_depth
 
 
 def square_free(ideal):
@@ -215,6 +222,18 @@ class TestStanleyReisner:
             assert k.has_face(labels) == (not rad.contains_monomial(exps))
 
 
+class TestMinimalTransversals:
+    def test_against_subset_enumeration(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            edges = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 8))]
+            hitting = [t for t in range(1 << n) if all(t & e for e in edges)]
+            brute = {t for t in hitting if not any(s != t and s & t == s for s in hitting)}
+            got = _minimal_transversals(edges)
+            assert len(got) == len(brute) and set(got) == brute, edges
+
+
 class TestColon:
     def test_square_by_variable(self):
         ideal = ideal_from_generators(("x",), [(2,)])
@@ -283,6 +302,58 @@ class TestDimDepth:
         polarized, aux = polarize(ideal)
         k = stanley_reisner_complex(polarized)
         assert dim_monomial_quotient(ideal) == krull_dim_stanley_reisner(k) - aux
+
+
+FIELDS3 = (QQ, GF2, FieldSpec(3))
+
+
+class TestDepthRoutes:
+    """depth_monomial_quotient (Takayama's formula, no polarization) against
+    the polarization route, and against naive_depth, an all-faces loop
+    independent of the link loop, where the polarized complex is small."""
+
+    def test_section3_ideals_and_cores(self):
+        for n in (3, 4, 5):
+            ideal = a_dis_ideal_t2(n)
+            for target in (ideal, _core_ideal(ideal)):
+                for field in (QQ, GF2):
+                    want = depth_via_polarization(target, field)
+                    assert depth_monomial_quotient(target, field) == want, n
+
+    def test_seeded_ideals(self):
+        rng = random.Random(16)
+        compared = naive = powers = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            ideal = ideal_from_generators([f"x{i}" for i in range(n)], gens)
+            if not ideal.is_proper():
+                continue
+            powers += not ideal.is_squarefree()
+            polarized, aux = polarize(ideal)
+            k = stanley_reisner_complex(polarized)
+            for field in FIELDS3:
+                got = depth_monomial_quotient(ideal, field)
+                assert got == depth_via_polarization(ideal, field), (ideal, field)
+                compared += 1
+                if len(k.vertices) <= 7:
+                    assert got == naive_depth(k, field) - aux, (ideal, field)
+                    naive += 1
+        assert compared > 900 and naive > 850 and powers > 150, (compared, naive, powers)
+
+    def test_no_hang_on_five_variable_ideal(self):
+        # the polarization route took more than 6 s of CPU here in
+        # characteristic 2, and more than a minute in characteristics 0 and
+        # 3, in the link loop on its polarized complex (15 vertices, 10 of
+        # them auxiliary)
+        ideal = ideal_from_generators(
+            [f"x{i}" for i in range(5)],
+            [(0, 3, 2, 3, 1), (1, 2, 3, 1, 2), (2, 0, 1, 1, 2), (2, 3, 0, 2, 3), (3, 1, 3, 0, 3)],
+        )
+        for field in FIELDS3:
+            start = time.process_time()
+            assert depth_monomial_quotient(ideal, field) == 2
+            assert time.process_time() - start < 1.0, field
 
 
 class TestHodge:
