@@ -197,8 +197,9 @@ def reproduce_section3(n: int, field: FieldSpec) -> dict:
 
 
 def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
-    """Desk-scale guard: the depth walks visit about 2.6 times more
-    complexes per step of n, and the facet check builds the polarized
-    complex, on n(n+1)/2 variables and n(n-1)/2 auxiliary ones."""
+    """Desk-scale guard: the one depth walk per n, shared by the ideal and
+    its core in every field, visits about 2.6 times more complexes per step
+    of n, and the facet check builds the polarized complex, on n(n+1)/2
+    variables and n(n-1)/2 auxiliary ones."""
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the cap {cap}")

@@ -17,9 +17,11 @@ equidimensional complex reaching dim.  Exact reductions keep it desk-scale:
   computed once per complex and level, the first time a call reaches that
   level (facets compacted, so equal complexes on other vertex labels count
   as one), and shared by every field and by depth, CM and Buchsbaum;
-  complexes that differ only by cone points, such as the polarized
-  complexes of a monomial ideal and of its core, share one scan.  Cores that
-  are a single point are acyclic over every field and are not kept.
+  complexes that differ only by cone points share one scan.  Cores that
+  are a single point are acyclic over every field and are not kept.  The
+  monomial depth shares one step earlier: monomial._takayama_complexes,
+  keyed on the generators on the variables they use, walks the complexes
+  Delta_b of an ideal and of its core once for every field.
 
 No approximation is involved anywhere.
 """

@@ -25,12 +25,16 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def _minimal_generators(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The generators no other one divides, sorted.  Candidates are kept
+    with their support masks: h can divide g only if supp(h) lies in
+    supp(g), so the exponents are compared only after that mask test."""
     uniq = sorted(set(gens), key=lambda g: (sum(g), g))
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[int, tuple[int, ...]]] = []
     for g in uniq:
-        if not any(_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(sorted(out))
+        s = sum(1 << i for i, e in enumerate(g) if e)
+        if not any(not t & ~s and _divides(h, g) for t, h in out):
+            out.append((s, g))
+    return tuple(sorted(g for _, g in out))
 
 
 @dataclass(frozen=True)
@@ -253,31 +257,55 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec) -> int:
     with Hochster's formula, grouped by the nonnegative part b of the degree.
     A squarefree ideal has b = 0 only, its own complex.
 
-    The box is walked one coordinate at a time, a branch pruned as soon as a
-    generator divides x^b.  The variables no generator uses are cone points
-    of every Delta_b, so the walk stops once the minimum reaches their count.
+    The variables no generator uses are cone points of every Delta_b, each
+    adding one to its depth.  The complexes on the others come from
+    _takayama_complexes, shared by every field and by the core of the ideal,
+    and are read through depth_stanley_reisner until the minimum is 0.
     """
     if not ideal.is_proper():
         raise UnitIdealError("depth of the zero ring")
     gens = ideal.generators
-    n = len(ideal.variables)
+    used = [j for j in range(len(ideal.variables)) if any(g[j] for g in gens)]
+    cones = len(ideal.variables) - len(used)
+    complexes = _takayama_complexes(tuple(tuple(g[j] for j in used) for g in gens))
+    if complexes is None:
+        return cones  # some Delta_b is {emptyset}, of depth 0
+    names = tuple(ideal.variables[j] for j in used)
+    depth = len(used)  # the depth never exceeds the number of vertices
+    for facets in complexes:
+        depth = min(depth, depth_stanley_reisner(SimplicialComplex._trusted(names, facets), field))
+        if not depth:
+            break
+    return cones + depth
+
+
+@lru_cache(maxsize=16)
+def _takayama_complexes(
+    gens: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The distinct facet tuples of the complexes Delta_b of
+    depth_monomial_quotient in walk order, for generators that use all their
+    variables; None at the first Delta_b = {emptyset}.  Keyed on the
+    generators alone, so an ideal and its core share one walk.  The box is
+    walked one coordinate at a time, a branch pruned as soon as a generator
+    divides x^b."""
+    n = len(gens[0]) if gens else 0
     full = (1 << n) - 1
-    rho = [max((g[j] for g in gens), default=0) for j in range(n)]
-    floor = rho.count(0)
+    rho = [max(g[j] for g in gens) for j in range(n)]
     # above[e][k]: the variables where the k-th generator's exponent exceeds e
     above = [
         [sum(1 << j for j in range(n) if g[j] > e) for g in gens]
         for e in range(max(rho, default=0))
     ]
-    best = n  # the depth never exceeds the number of variables
+    found: dict[tuple[int, ...], None] = {}
     # a partial b (the later coordinates 0) with the generators that divide
     # x^b on its coordinates; one that is 0 on the rest divides x^b itself
     stack = [((), gens)]
-    while stack and best > floor:
+    while stack:
         b, within = stack.pop()
         j = len(b)
         if j < n:
-            for e in range(max(rho[j], 1)):
+            for e in range(rho[j]):
                 nxt = tuple(g for g in within if g[j] <= e)
                 if any(not any(g[j + 1:]) for g in nxt):
                     break  # x^b x_j^e is in I, and so is every larger power
@@ -289,10 +317,9 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec) -> int:
             nonfaces = [m | (a & at) for m, a in zip(nonfaces, row)]
         facets = tuple(sorted(full & ~t for t in _minimal_transversals(list(set(nonfaces)))))
         if facets == (0,):
-            return 0  # Delta_b = {emptyset}: k[Delta_b] = k has depth 0
-        k = SimplicialComplex._trusted(ideal.variables, facets)
-        best = min(best, depth_stanley_reisner(k, field))
-    return best
+            return None
+        found[facets] = None
+    return tuple(found)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from srposet import (
     tuple_leq,
 )
 from srposet.detsym import check_cap
+from srposet.monomial import _takayama_complexes
 from srposet.errors import CapExceededError
 
 
@@ -190,3 +191,13 @@ class TestReproduction:
             rep = reproduce_section3(n, QQ)
             assert rep["dim"] - rep["depth"] == n - 2
             assert rep["core_dim"] == n - 2 and rep["core_depth"] == 0
+
+    def test_one_depth_walk_per_n(self):
+        # the ideal and its core, in both fields, read one cached walk: the
+        # core's generators are the ideal's on the variables they use
+        _takayama_complexes.cache_clear()
+        for n in (3, 4, 5, 6):
+            for field in (QQ, GF2):
+                reproduce_section3(n, field)
+        info = _takayama_complexes.cache_info()
+        assert (info.misses, info.hits) == (4, 12), info

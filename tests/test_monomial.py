@@ -31,7 +31,7 @@ from srposet import (
     radical_monomial,
     stanley_reisner_complex,
 )
-from srposet.monomial import _core_ideal, _minimal_transversals
+from srposet.monomial import _core_ideal, _minimal_generators, _minimal_transversals
 
 from oracles import depth_via_polarization
 from test_engine_reductions import naive_depth
@@ -103,6 +103,30 @@ class TestMinimalization:
             ideal = MonomialIdeal(variables, tuple(gens))
             assert ideal == ideal_from_generators(variables, gens), gens
             assert MonomialIdeal(variables, ideal.generators) == ideal
+
+    def test_against_all_pairs_scan(self):
+        def brute(gens):
+            uniq = set(gens)
+            return tuple(sorted(
+                g for g in uniq
+                if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in uniq)
+            ))
+
+        rng = random.Random(17)
+        units = 0
+        for trial in range(400):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n))
+                    for _ in range(rng.randint(0, 10))]
+            gens += rng.sample(gens, len(gens) // 2)  # duplicates
+            if trial % 8 == 0:
+                gens.append((0,) * n)  # the unit ideal swallows the rest
+            rng.shuffle(gens)
+            got = _minimal_generators(gens)
+            assert got == brute(gens), gens
+            units += got == ((0,) * n,)
+        assert units >= 50
+        assert _minimal_generators([]) == ()
 
 
 class TestPolarize:
@@ -340,6 +364,30 @@ class TestDepthRoutes:
                     assert got == naive_depth(k, field) - aux, (ideal, field)
                     naive += 1
         assert compared > 900 and naive > 850 and powers > 150, (compared, naive, powers)
+
+    def test_unused_variables(self):
+        # (x^2) in k[x, y]: on the used variable every Delta_b is {emptyset},
+        # and the unused y adds one
+        ideal = ideal_from_generators(("x", "y"), [(2, 0)])
+        for field in FIELDS3:
+            assert depth_monomial_quotient(ideal, field) == 1
+            assert depth_via_polarization(ideal, field) == 1
+        rng = random.Random(23)
+        compared = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            unused = set(rng.sample(range(n), rng.randint(1, n - 1)))
+            gens = [
+                tuple(0 if j in unused else rng.randint(0, 2) for j in range(n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            ideal = ideal_from_generators([f"x{i}" for i in range(n)], gens)
+            if not ideal.is_proper():
+                continue
+            for field in FIELDS3:
+                assert depth_monomial_quotient(ideal, field) == depth_via_polarization(ideal, field), (ideal, field)
+                compared += 1
+        assert compared > 300, compared
 
     def test_no_hang_on_five_variable_ideal(self):
         # the polarization route took more than 6 s of CPU here in
