@@ -260,35 +260,33 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec) -> int:
     The variables no generator uses are cone points of every Delta_b, each
     adding one to its depth.  The complexes on the others come from
     _takayama_complexes, shared by every field and by the core of the ideal,
-    and are read through depth_stanley_reisner until the minimum is 0.
+    and are read in walk order through depth_stanley_reisner; a Delta_b =
+    {emptyset}, the walk's last complex if it meets one, has depth 0.
     """
     if not ideal.is_proper():
         raise UnitIdealError("depth of the zero ring")
     gens = ideal.generators
     used = [j for j in range(len(ideal.variables)) if any(g[j] for g in gens)]
     cones = len(ideal.variables) - len(used)
-    complexes = _takayama_complexes(tuple(tuple(g[j] for j in used) for g in gens))
-    if complexes is None:
-        return cones  # some Delta_b is {emptyset}, of depth 0
     names = tuple(ideal.variables[j] for j in used)
     depth = len(used)  # the depth never exceeds the number of vertices
-    for facets in complexes:
+    for facets in _takayama_complexes(tuple(tuple(g[j] for j in used) for g in gens)):
+        if facets == (0,):
+            return cones  # Delta_b = {emptyset}: k[Delta_b] = k has depth 0
         depth = min(depth, depth_stanley_reisner(SimplicialComplex._trusted(names, facets), field))
-        if not depth:
-            break
     return cones + depth
 
 
 @lru_cache(maxsize=16)
 def _takayama_complexes(
     gens: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...] | None:
+) -> tuple[tuple[int, ...], ...]:
     """The distinct facet tuples of the complexes Delta_b of
     depth_monomial_quotient in walk order, for generators that use all their
-    variables; None at the first Delta_b = {emptyset}.  Keyed on the
-    generators alone, so an ideal and its core share one walk.  The box is
-    walked one coordinate at a time, a branch pruned as soon as a generator
-    divides x^b."""
+    variables; the walk stops after the first Delta_b = {emptyset}, facets
+    (0,).  Keyed on the generators alone, so an ideal and its core share one
+    walk.  The box is walked one coordinate at a time, a branch pruned as
+    soon as a generator divides x^b."""
     n = len(gens[0]) if gens else 0
     full = (1 << n) - 1
     rho = [max(g[j] for g in gens) for j in range(n)]
@@ -316,9 +314,9 @@ def _takayama_complexes(
             at = sum(1 << i for i in range(n) if b[i] == e)
             nonfaces = [m | (a & at) for m, a in zip(nonfaces, row)]
         facets = tuple(sorted(full & ~t for t in _minimal_transversals(list(set(nonfaces)))))
-        if facets == (0,):
-            return None
         found[facets] = None
+        if facets == (0,):
+            break
     return tuple(found)
 
 

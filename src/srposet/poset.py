@@ -340,11 +340,9 @@ def _chain_facets(covers: Sequence[int], mask: int) -> tuple[int, ...]:
     up-set or all of P) as sorted facet masks; (0,) for the empty mask.
     Inside a convex set the covers are P's covers masked, so each maximal
     chain is one path up from an element no element of the mask covers."""
-    bottom = m = mask
-    while m:
-        low = m & -m
-        bottom &= ~covers[low.bit_length() - 1]
-        m ^= low
+    bottom = mask
+    for x in _bits(mask):
+        bottom &= ~covers[x]
     stack = [(bottom, 0)]
     chains = []
     while stack:
