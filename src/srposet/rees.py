@@ -7,14 +7,17 @@ same coefficient from Euler characteristics of lower sets of Q
 (g_dis_numerator_mu_top_via_lower_sets); and the vanishing of those
 (euler_condition_Q, equivalent to euler_condition_interval).
 
-Public functions check Q once at entry (poset._ideal_mask).  _rees_facts
+Public functions check Q at entry (poset._ideal_mask).  _rees_facts
 takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
-any field; _violations lists the properties the pair breaks.  Every
-chi~ sums one sign vector per poset (poset._chain_signs).  Only the two
-numerators list all chains (_all_chains); the direct one then applies one
-subset Moebius transform outside Q (Bjoerklund, Husfeldt, Kaski and
-Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007), the
-lower-set rewrite expands chain by chain, so the routes stay independent.
+any field (the Q condition through euler_condition_Q, the one Q check of a
+sweep pair); _violations lists the properties the pair breaks.  Inside, a
+numerator is a dict from term mask to nonzero coefficient; only the public
+g_dis_numerator_mu_top* build an IntPolynomial.  Every chi~ sums one sign
+vector per poset (poset._chain_signs).  Only the two numerators list all
+chains (_all_chains, the faces of the order complex); the direct one then
+applies one subset Moebius transform outside Q (Bjoerklund, Husfeldt, Kaski
+and Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007),
+the lower-set rewrite expands chain by chain, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .simplicial import (
     FieldSpec,
     SimplicialComplex,
     _bits,
+    _faces_by_card,
     reduced_betti_numbers,
 )
 
@@ -85,7 +89,7 @@ class _ReesFacts(NamedTuple):
     qmask: int
     cond_q: bool
     cond_interval: bool
-    numerator: IntPolynomial | None  # None when Q is empty
+    numerator: dict[int, int] | None  # term mask -> coefficient; None when Q is empty
     uplus: Poset
 
 
@@ -99,7 +103,7 @@ def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
 def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
     return _ReesFacts(
         qmask,
-        _euler_vanishes(p, qmask),
+        euler_condition_Q(p, [p.elements[i] for i in _bits(qmask)]),
         _interval_vanishes(p, qmask),
         _numerator(p, qmask) if qmask else None,
         _uplus_mask(p, qmask),
@@ -130,27 +134,9 @@ def _poset_facts(p: Poset) -> _PosetFacts:
 
 @lru_cache(maxsize=16)
 def _all_chains(p: Poset) -> tuple[int, ...]:
-    """Bitmasks of all chains of p, the empty one included; cached per poset."""
-    cols = p.down_masks()
-    chains = [0]
-    ending: dict[int, list[int]] = {}
-    for i in sorted(range(len(p)), key=lambda i: cols[i].bit_count()):
-        mine = [1 << i]
-        for j in _bits(cols[i]):
-            mine.extend(c | (1 << i) for c in ending[j])
-        ending[i] = mine
-        chains.extend(mine)
-    return tuple(chains)
-
-
-def _euler_vanishes(p: Poset, qmask: int) -> bool:
-    """chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
-    cols = p.down_masks()
-    signs = _poset_facts(p).signs
-    outside = ((1 << len(p)) - 1) & ~qmask
-    return _chi(signs, qmask) == 0 and all(
-        _chi(signs, cols[x] & qmask) == 0 for x in _bits(outside)
-    )
+    """Bitmasks of all chains of p, the empty one included: the faces of its
+    order complex.  Cached per poset."""
+    return tuple(c for level in _faces_by_card(order_complex(p).facets) for c in level)
 
 
 def _interval_vanishes(p: Poset, qmask: int) -> bool:
@@ -161,7 +147,13 @@ def _interval_vanishes(p: Poset, qmask: int) -> bool:
 
 def euler_condition_Q(p: Poset, q: Iterable[str]) -> bool:
     """True iff chi~({y in Q | y < x}) = 0 for every x in (P u {inf}) \\ Q."""
-    return _euler_vanishes(p, _ideal_mask(p, q))
+    qmask = _ideal_mask(p, q)
+    cols = p.down_masks()
+    signs = _poset_facts(p).signs
+    outside = ((1 << len(p)) - 1) & ~qmask
+    return _chi(signs, qmask) == 0 and all(
+        _chi(signs, cols[x] & qmask) == 0 for x in _bits(outside)
+    )
 
 
 def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
@@ -169,13 +161,10 @@ def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
     return _interval_vanishes(p, _ideal_mask(p, q))
 
 
-def _polynomial(p: Poset, acc: dict[int, int]) -> IntPolynomial:
-    """The polynomial with coefficient acc[m] on the squarefree monomial m."""
+def _polynomial(p: Poset, terms: dict[int, int]) -> IntPolynomial:
+    """The polynomial with coefficient terms[m] on the squarefree monomial m."""
     bits = range(len(p))
-    return IntPolynomial(
-        p.elements,
-        {tuple([m >> i & 1 for i in bits]): c for m, c in acc.items() if c},
-    )
+    return IntPolynomial(p.elements, {tuple([m >> i & 1 for i in bits]): c for m, c in terms.items()})
 
 
 def g_dis_numerator_mu_top(p: Poset, q: Iterable[str]) -> IntPolynomial:
@@ -187,10 +176,10 @@ def g_dis_numerator_mu_top(p: Poset, q: Iterable[str]) -> IntPolynomial:
     * prod_{x not in sigma u Q} (1 - L_x),
     summed exactly over the integers.
     """
-    return _numerator(p, _nonempty_mask(p, q))
+    return _polynomial(p, _numerator(p, _nonempty_mask(p, q)))
 
 
-def _numerator(p: Poset, qmask: int) -> IntPolynomial:
+def _numerator(p: Poset, qmask: int) -> dict[int, int]:
     # The chains with one union sigma u Q = Q u b share the factor
     # prod_{Q u b} L * prod_{rest - b} (1 - L), so first add up their signs
     # per b; expanding the products is then the subset Moebius transform
@@ -207,7 +196,7 @@ def _numerator(p: Poset, qmask: int) -> IntPolynomial:
         for s, c in list(acc.items()):
             if c and not s & bit:
                 acc[s | bit] = acc.get(s | bit, 0) - c
-    return _polynomial(p, {qmask | s: c for s, c in acc.items()})
+    return {qmask | s: c for s, c in acc.items() if c}
 
 
 def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPolynomial:
@@ -215,7 +204,10 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
     lower sets of Q: (-1)^(|Q|+1) * prod_{Q} L * sum over chains tau
     disjoint from Q of chi~({y in Q | y < min tau}) * prod_{tau} L *
     prod_{rest}(1 - L)."""
-    qmask = _nonempty_mask(p, q)
+    return _polynomial(p, _lower_set_numerator(p, _nonempty_mask(p, q)))
+
+
+def _lower_set_numerator(p: Poset, qmask: int) -> dict[int, int]:
     full = (1 << len(p)) - 1
     cols = p.down_masks()
     signs = _poset_facts(p).signs
@@ -243,12 +235,12 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
             if t == 0:
                 break
             t = (t - 1) & rest
-    return _polynomial(p, acc)
+    return {m: c for m, c in acc.items() if c}
 
 
 def a_invariant_negative(p: Poset, q: Iterable[str]) -> bool:
     """True iff the top-mu numerator coefficient vanishes identically."""
-    return g_dis_numerator_mu_top(p, q).is_zero()
+    return not _numerator(p, _nonempty_mask(p, q))
 
 
 def rees_cm_report(p: Poset, q: Iterable[str], field: FieldSpec) -> dict:
@@ -280,7 +272,7 @@ def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[di
         "field": {"char": f.characteristic},
         "cm_P": cm_p,
         "cm_uplus": is_cohen_macaulay_complex(delta_up, f),
-        "a_negative": None if facts.numerator is None else facts.numerator.is_zero(),
+        "a_negative": None if facts.numerator is None else not facts.numerator,
         "cond_Q": facts.cond_q,
         "cond_interval": facts.cond_interval,
         "degenerate": degenerate,
@@ -302,19 +294,19 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
     6.5/6.6 (Betti numbers kept, deleted star acyclic); and, for P
     Cohen-Macaulay, Theorem 6.3 and the a-invariant biconditional.
     """
-    q = [p.elements[i] for i in _bits(facts.qmask)]
+    qmask = facts.qmask
     if facts.cond_q != facts.cond_interval:
         yield "euler-conditions-disagree", None
-    if q:
-        a_neg = facts.numerator.is_zero()
-        if facts.numerator != g_dis_numerator_mu_top_via_lower_sets(p, q):
+    if qmask:
+        a_neg = not facts.numerator
+        if facts.numerator != _lower_set_numerator(p, qmask):
             yield "numerator-routes-disagree", None
         if a_neg != facts.cond_q:
             yield "a-invariant-vs-euler", None
     unique_min = len(p.minimal_idx()) == 1
     delta_up = order_complex(facts.uplus)
     delta_red = None
-    if unique_min and q:
+    if unique_min and qmask:
         # the starred minimum is least in P (+) Q, so in every facet: a cone point
         star = 1 << facts.uplus.minimal_idx()[0]
         delta_red = SimplicialComplex._trusted(delta_up.vertices, tuple(f & ~star for f in delta_up.facets))
@@ -329,5 +321,5 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
             yield "interval-condition-but-not-cm", char
         if cm_p and unique_min and not cm_up:
             yield "unique-min-but-not-cm", char
-        if cm_p and q and len(q) < len(p) and cm_up != a_neg:
+        if cm_p and qmask and qmask.bit_count() < len(p) and cm_up != a_neg:
             yield "biconditional-fails", char

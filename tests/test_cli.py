@@ -326,13 +326,28 @@ class TestSweep:
         assert main(["sweep", "--max-elements", cap]) == 2
 
     def test_one_q_check_per_pair(self, monkeypatch, capsys):
-        # the sweep passes each orbit's mask in; only the public lower-set
-        # cross-check, run for a nonempty Q, checks Q again
+        # the sweep passes each orbit's mask in; _rees_facts reads the Q
+        # condition through the public euler_condition_Q, which checks Q
+        # once, the empty Q included: one check per pair class
         real = rees._ideal_mask
         checked = []
         monkeypatch.setattr(rees, "_ideal_mask", lambda p, q: checked.append(list(q)) or real(p, q))
         assert main(["sweep", "--max-elements", "4"]) == 0
-        assert len(checked) == 107 and all(checked)
+        assert len(checked) == 132
+
+    def test_no_polynomial_on_sweep_path(self, monkeypatch, capsys):
+        # the sweep compares the numerators as term-mask dicts; only the
+        # public numerator functions build an IntPolynomial
+        def refuse(p, terms):
+            raise AssertionError("built an IntPolynomial")
+
+        monkeypatch.setattr(rees, "_polynomial", refuse)
+        assert main(["sweep", "--max-elements", "4"]) == 0
+        out = capsys.readouterr().out
+        assert out == "sweep ok: 1789 (poset, ideal) pairs up to 4 elements, characteristics [0, 2]\n"
+        antichain = poset_from_cover_relations(["a", "b"], [])
+        assert not rees.a_invariant_negative(antichain, ["a"])
+        assert rees.a_invariant_negative(poset_from_cover_relations(["a", "b"], [("a", "b")]), ["a"])
 
     def test_failure_is_reported(self, monkeypatch, capsys):
         # if every P counted as Cohen-Macaulay, so would every P (+) Q, and
@@ -357,8 +372,10 @@ class TestSweepFailures:
         assert len(out.splitlines()) == 1
 
     def test_numerator_routes_disagree(self, monkeypatch, capsys):
-        real = rees.g_dis_numerator_mu_top_via_lower_sets
-        monkeypatch.setattr(rees, "g_dis_numerator_mu_top_via_lower_sets", lambda p, q: -real(p, q))
+        real = rees._lower_set_numerator
+        monkeypatch.setattr(
+            rees, "_lower_set_numerator", lambda p, qmask: {m: -c for m, c in real(p, qmask).items()}
+        )
         self.sweep_fails(capsys, "numerator-routes-disagree")
 
     def test_euler_conditions_disagree(self, monkeypatch, capsys):

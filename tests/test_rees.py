@@ -26,9 +26,9 @@ from srposet import (
 )
 from srposet import rees
 from srposet.poset import _ideal_mask
-from srposet.rees import _rees_facts
+from srposet.rees import _all_chains, _polynomial, _rees_facts
 
-from oracles import direct_numerator
+from oracles import brute_chains, direct_numerator
 
 
 def chain(*labels):
@@ -223,6 +223,26 @@ class TestNumeratorOracle:
             assert got == direct_numerator(p, q), (p, sorted(q))
 
 
+class TestMaskKernels:
+    """The chain list and the mask-keyed numerators against independent routes."""
+
+    def test_all_chains_match_brute_force(self):
+        rng = random.Random(18)
+        posets = [p for n in range(5) for p in enumerate_posets([chr(ord("a") + i) for i in range(n)])]
+        posets += [random_poset(rng, [f"e{i}" for i in range(rng.randint(5, 7))]) for _ in range(60)]
+        for p in posets:
+            chains = _all_chains(p)
+            expected = {sum(1 << p.index(e) for e in c) for c in brute_chains(p)}
+            assert len(chains) == len(set(chains)) and set(chains) == expected, p
+
+    def test_a_invariant_negative_matches_numerator(self):
+        for n in range(1, 5):
+            for p in enumerate_posets([chr(ord("a") + i) for i in range(n)]):
+                for q in all_poset_ideals(p):
+                    if q:
+                        assert a_invariant_negative(p, q) == g_dis_numerator_mu_top(p, q).is_zero(), (p, sorted(q))
+
+
 class TestReesFacts:
     def test_facts_match_public_functions(self):
         rng = random.Random(31)
@@ -234,7 +254,7 @@ class TestReesFacts:
             assert facts.cond_q == euler_condition_Q(p, q)
             assert facts.cond_interval == euler_condition_interval(p, q)
             if q:
-                assert facts.numerator == g_dis_numerator_mu_top(p, q)
+                assert _polynomial(p, facts.numerator) == g_dis_numerator_mu_top(p, q)
             else:
                 assert facts.numerator is None
             assert facts.uplus == uplus(p, q)
