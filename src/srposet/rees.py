@@ -59,17 +59,6 @@ class IntPolynomial:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.variables != other.variables:
-            raise ValueError("variable sets differ")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return IntPolynomial(self.variables, terms)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "IntPolynomial(0)"

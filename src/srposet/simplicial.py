@@ -7,10 +7,10 @@ void complex is not representable.
 
 Homology is computed on the strong-collapse core of a complex (a
 deformation retract, so every reduced Betti number is kept) from ranks of
-the augmented boundary matrices, with arbitrary-precision integer
-(fraction-free) elimination in characteristic 0 and modular elimination in
-characteristic p.  Over a field, homology and cohomology dimensions
-coincide, and that is what BettiVector reports.
+the augmented boundary matrices, by the sparse echelon of `_exact` in
+every characteristic: integer rows over Q, rows mod p over F_p.  Over a
+field, homology and cohomology dimensions coincide, and that is what
+BettiVector reports.
 """
 
 from __future__ import annotations

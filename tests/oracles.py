@@ -14,7 +14,7 @@ public depth_stanley_reisner where the library walks Takayama's complexes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def brute_chains(p) -> list[frozenset[str]]:
@@ -215,6 +215,16 @@ def boundary_matrices(k) -> list[list[list[int]]]:
                 mat[index[sub]][j] = (-1) ** t
         matrices.append(mat)
     return matrices
+
+
+def cross_polytope_boundary(d: int) -> tuple[list[str], list[list[str]]]:
+    """Vertex and facet labels of the boundary of the d-dimensional
+    cross-polytope: a (d-1)-sphere on 2d vertices with 2^d facets, whose
+    only reduced homology is one class in degree d-1 in every field.  No
+    vertex is dominated, so the strong collapse keeps the whole sphere."""
+    vertices = [f"{s}{i}" for i in range(d) for s in "+-"]
+    facets = [[s + str(i) for i, s in enumerate(signs)] for signs in product("+-", repeat=d)]
+    return vertices, facets
 
 
 def betti_via_snf(k, char: int) -> dict[int, int]:

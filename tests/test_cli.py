@@ -5,9 +5,11 @@ import pytest
 
 from srposet import GF2, QQ, BettiVector, cli, poset_from_cover_relations, rees
 from srposet.cli import main
+from srposet.invariants import _link_cores
 from srposet.poset import _canonical
+from srposet.simplicial import _betti_masks, _core_key
 
-from oracles import labelled_sweep
+from oracles import cross_polytope_boundary, labelled_sweep
 
 
 @pytest.fixture
@@ -160,6 +162,27 @@ class TestCheckComplexAndHomology:
         assert time.process_time() - start < 1.0
         assert code == 0
         assert rep["euler_char"] == 0 and rep["dim"] == 40
+
+    @pytest.mark.parametrize("char", ["0", "2", "3"])
+    def test_six_sphere(self, capsys, tmp_path, char):
+        """The boundary of the 7-dimensional cross-polytope (14 vertices,
+        128 facets, no dominated vertex), each command from cold caches.
+        Dense elimination took 14.6 s and 13.6 s of CPU in characteristic 0."""
+        vertices, facets = cross_polytope_boundary(7)
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps({"vertices": vertices, "facets": facets}))
+        for command in ("homology", "check-complex"):
+            for cache in (_betti_masks, _core_key, _link_cores):
+                cache.cache_clear()
+            start = time.process_time()
+            code, rep = run_json(capsys, [command, str(path), "--json", "--char", char])
+            assert time.process_time() - start < 2.0, command
+            assert code == 0
+            (field,) = rep["fields"]
+            if command == "homology":
+                assert field["betti"] == {str(d): int(d == 6) for d in range(-1, 7)}
+            else:
+                assert field["cm"] and field["depth"] == 7
 
     @pytest.mark.parametrize("doc", [
         {"vertices": "abc", "facets": [["a"]]},

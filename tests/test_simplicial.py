@@ -23,9 +23,9 @@ from srposet import (
     reduced_euler_char_complex,
 )
 
-from srposet.simplicial import SimplicialComplex, _is_prime
+from srposet.simplicial import SimplicialComplex, _betti_masks, _is_prime
 
-from oracles import betti_via_snf, brute_euler_complex, rank_fraction
+from oracles import betti_via_snf, brute_euler_complex, cross_polytope_boundary, rank_fraction
 
 RP2_FACETS = [
     [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -283,6 +283,41 @@ class TestExactRanks:
             ]
             assert rank_mod2(bitrows) == r
         assert r <= rank_fraction(rows)
+
+
+class TestLargeBoundaryRanks:
+    """Boundary ranks of whole complexes, larger than the collapse leaves
+    in the tests above, in characteristics 0, 2 and 3."""
+
+    def test_seven_sphere(self):
+        # 16 vertices and 256 facets; dense elimination took 11.7 s of CPU in
+        # characteristic 3 and longer in characteristic 0
+        k = complex_from_facets(*cross_polytope_boundary(8))
+        for char in (0, 3):
+            start = time.process_time()
+            betti = reduced_betti_numbers(k, FieldSpec(char))
+            assert time.process_time() - start < 3.0, char
+            assert betti == BettiVector({7: 1}), char
+
+    def test_betti_masks_against_snf_oracle(self):
+        """_betti_masks (no collapse) on seeded complexes of 12 to 24
+        triangles and tetrahedra on 8 to 10 vertices, and on joins of RP^2
+        with a few points, whose 2-torsion makes the characteristics differ."""
+        rng = random.Random(19)
+        rp2_facets = [[f"r{v}" for v in f] for f in RP2_FACETS]
+        complexes = []
+        for _ in range(16):
+            verts = [f"v{i}" for i in range(rng.randint(8, 10))]
+            facets = [rng.sample(verts, rng.randint(3, 4)) for _ in range(rng.randint(12, 24))]
+            complexes.append(complex_from_facets(verts, facets))
+        for points in (2, 3):
+            cone = [f"c{i}" for i in range(points)]
+            verts = [f"r{v}" for v in range(6)] + cone
+            complexes.append(complex_from_facets(verts, [f + [c] for f in rp2_facets for c in cone]))
+        for k in complexes:
+            for char in (0, 2, 3):
+                got = _betti_masks(k.facets, char)
+                assert dict(enumerate(got, -1)) == betti_via_snf(k, char), (k, char)
 
 
 class TestJson:
