@@ -169,7 +169,7 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     Facets are complements of the minimal transversals of the generator
     supports; these are an antichain already, so the complex is trusted.
     Cached, as the values are immutable; but one section3 unit (both fields,
-    n = 3..6) gives the cache 0 hits and 12 misses, and its hits come only
+    n = 3..6) gives the cache 0 hits and 8 misses, and its hits come only
     from repeated public dim_monomial_quotient calls on one ideal.
     """
     if not ideal.is_proper():

@@ -10,14 +10,17 @@ same coefficient from Euler characteristics of lower sets of Q
 Public functions check Q at entry (poset._ideal_mask).  _rees_facts
 takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
 any field (the Q condition through euler_condition_Q, the one Q check of a
-sweep pair); _violations lists the properties the pair breaks.  Inside, a
-numerator is a dict from term mask to nonzero coefficient; only the public
-g_dis_numerator_mu_top* build an IntPolynomial.  Every chi~ sums one sign
-vector per poset (poset._chain_signs).  Only the two numerators list all
-chains (_all_chains, the faces of the order complex); the direct one then
-applies one subset Moebius transform outside Q (Bjoerklund, Husfeldt, Kaski
-and Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007),
-the lower-set rewrite expands chain by chain, so the routes stay independent.
+sweep pair); _violations lists the properties the pair breaks.  Every chi~
+sums one sign vector per poset (poset._chain_signs).  Only the two
+numerators list all chains (_all_chains, the faces of the order complex).
+Inside, a numerator is a dict of chain coefficients: for each chain b
+outside Q, the nonzero coefficient of L^(Q u b) * prod(1 - L) over the rest
+outside Q.  The direct route adds up chain signs, the lower-set rewrite
+reads one chi~, per b.  Each expanded image has its own leading monomial
+L^(Q u b), so the sweep compares and tests the dicts unexpanded; only the
+public g_dis_numerator_mu_top* expand them (_polynomial, one subset Moebius
+transform outside Q: Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier
+meets Moebius: fast subset convolution", STOC 2007).
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class _ReesFacts(NamedTuple):
     qmask: int
     cond_q: bool
     cond_interval: bool
-    numerator: dict[int, int] | None  # term mask -> coefficient; None when Q is empty
+    numerator: dict[int, int] | None  # chain coefficients; None when Q is empty
     uplus: Poset
 
 
@@ -150,10 +153,22 @@ def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
     return _interval_vanishes(p, _ideal_mask(p, q))
 
 
-def _polynomial(p: Poset, terms: dict[int, int]) -> IntPolynomial:
-    """The polynomial with coefficient terms[m] on the squarefree monomial m."""
+def _polynomial(p: Poset, qmask: int, coeffs: dict[int, int]) -> IntPolynomial:
+    """The expanded numerator of the chain coefficients coeffs (see above).
+
+    Expanding is the subset Moebius transform over the coordinates outside
+    Q, acc[s] = sum over b in s of (-1)^|s - b| coeffs[b], one coordinate
+    at a time; zero entries pass nothing on, so only nonzero ones are stored.
+    """
+    rest = ((1 << len(p)) - 1) & ~qmask
+    acc = dict(coeffs)
+    for i in _bits(rest):
+        bit = 1 << i
+        for s, c in list(acc.items()):
+            if c and not s & bit:
+                acc[s | bit] = acc.get(s | bit, 0) - c
     bits = range(len(p))
-    return IntPolynomial(p.elements, {tuple([m >> i & 1 for i in bits]): c for m, c in terms.items()})
+    return IntPolynomial(p.elements, {tuple([(qmask | s) >> i & 1 for i in bits]): c for s, c in acc.items()})
 
 
 def g_dis_numerator_mu_top(p: Poset, q: Iterable[str]) -> IntPolynomial:
@@ -165,27 +180,19 @@ def g_dis_numerator_mu_top(p: Poset, q: Iterable[str]) -> IntPolynomial:
     * prod_{x not in sigma u Q} (1 - L_x),
     summed exactly over the integers.
     """
-    return _polynomial(p, _numerator(p, _nonempty_mask(p, q)))
+    qmask = _nonempty_mask(p, q)
+    return _polynomial(p, qmask, _numerator(p, qmask))
 
 
 def _numerator(p: Poset, qmask: int) -> dict[int, int]:
-    # The chains with one union sigma u Q = Q u b share the factor
-    # prod_{Q u b} L * prod_{rest - b} (1 - L), so first add up their signs
-    # per b; expanding the products is then the subset Moebius transform
-    # over the coordinates outside Q, acc[s] = sum over b in s of
-    # (-1)^|s - b| acc[b], one coordinate at a time.  Zero entries pass
-    # nothing on, so only the nonzero ones are stored.
+    # the chains sigma with sigma - Q = b share the factor
+    # prod_{Q u b} L * prod_{rest - b} (1 - L): add up their signs per b
     rest = ((1 << len(p)) - 1) & ~qmask
     acc: dict[int, int] = {}
     for sigma in _all_chains(p):
         b = sigma & rest
         acc[b] = acc.get(b, 0) + (-1 if (qmask & ~sigma).bit_count() % 2 else 1)
-    for i in _bits(rest):
-        bit = 1 << i
-        for s, c in list(acc.items()):
-            if c and not s & bit:
-                acc[s | bit] = acc.get(s | bit, 0) - c
-    return {qmask | s: c for s, c in acc.items() if c}
+    return {b: c for b, c in acc.items() if c}
 
 
 def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPolynomial:
@@ -193,7 +200,8 @@ def g_dis_numerator_mu_top_via_lower_sets(p: Poset, q: Iterable[str]) -> IntPoly
     lower sets of Q: (-1)^(|Q|+1) * prod_{Q} L * sum over chains tau
     disjoint from Q of chi~({y in Q | y < min tau}) * prod_{tau} L *
     prod_{rest}(1 - L)."""
-    return _polynomial(p, _lower_set_numerator(p, _nonempty_mask(p, q)))
+    qmask = _nonempty_mask(p, q)
+    return _polynomial(p, qmask, _lower_set_numerator(p, qmask))
 
 
 def _lower_set_numerator(p: Poset, qmask: int) -> dict[int, int]:
@@ -212,19 +220,9 @@ def _lower_set_numerator(p: Poset, qmask: int) -> dict[int, int]:
                 low = cols[i]
                 break
         c = _chi(signs, low & qmask)
-        if c == 0:
-            continue
-        c *= lead
-        base = tau | qmask
-        rest = full & ~base
-        t = rest
-        while True:
-            key = base | t
-            acc[key] = acc.get(key, 0) + (-c if t.bit_count() % 2 else c)
-            if t == 0:
-                break
-            t = (t - 1) & rest
-    return {m: c for m, c in acc.items() if c}
+        if c:
+            acc[tau] = lead * c
+    return acc
 
 
 def a_invariant_negative(p: Poset, q: Iterable[str]) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from srposet import (
@@ -13,11 +15,13 @@ from srposet import (
     krull_dim_stanley_reisner,
     omega_ideal,
     order_complex,
+    polarize,
     reproduce_section3,
     section3_facets,
+    stanley_reisner_complex,
     tuple_leq,
 )
-from srposet.detsym import check_cap
+from srposet.detsym import _is_facet, check_cap
 from srposet.monomial import _takayama_complexes
 from srposet.errors import CapExceededError
 
@@ -155,6 +159,21 @@ class TestPolarizedIdeal:
             "X13*X22",
             "X13*X23",
         }
+
+    def test_facet_check_matches_complex(self):
+        # the check on the generator supports against the facets of the
+        # complex: its facets, each facet minus a vertex, and random masks
+        # and subfaces
+        rng = random.Random(46)
+        for n in (3, 4, 5, 6):
+            polarized = polarize(a_dis_ideal_t2(n))[0]
+            facets = set(stanley_reisner_complex(polarized).facets)
+            width = len(polarized.variables)
+            faces = facets | {f & ~(1 << v) for f in facets for v in range(width) if f >> v & 1}
+            faces |= {rng.getrandbits(width) for _ in range(300)}
+            faces |= {f & rng.getrandbits(width) for f in sorted(facets) for _ in range(3)}
+            for face in faces:
+                assert _is_facet(polarized, face) == (face in facets), (n, face)
 
 
 class TestReproduction:

@@ -32,7 +32,6 @@ from srposet import (
     stanley_reisner_complex,
 )
 from srposet import invariants
-from srposet.detsym import _section3_fixed
 from srposet.invariants import _link_cores
 from srposet.monomial import _core_ideal
 from srposet.poset import NEG_INF, POS_INF, open_interval
@@ -221,7 +220,7 @@ def test_cone_exit_matches_restart_oracle_on_section3_links():
     # the links of the symmetric-matrix example are never cones themselves,
     # and most of them become one after a few deletions
     for n in (4, 5):
-        facets = _stripped_key(_section3_fixed(n)["polarized"][0].facets)
+        facets = _stripped_key(stanley_reisner_complex(polarize(a_dis_ideal_t2(n))[0]).facets)
         for sigma in _closed_faces(facets):
             lk = _link_facets(facets, sigma)
             core = _strong_collapse(lk)
@@ -246,7 +245,7 @@ def test_cone_exit_keeps_cores_without_dominated_vertices():
 def test_link_facets_need_no_minimalizing_on_antichains():
     rng = random.Random(12)
     complexes = [random_antichain(rng) for _ in range(300)]
-    complexes += [_section3_fixed(n)["polarized"][0].facets for n in (3, 4, 5)]
+    complexes += [stanley_reisner_complex(polarize(a_dis_ideal_t2(n))[0]).facets for n in (3, 4, 5)]
     for facets in complexes:
         for sigma in _closed_faces(facets):
             got = tuple(sorted(_link_facets(facets, sigma)))
@@ -272,7 +271,7 @@ def subset_meets(facets):
 def test_closed_faces_are_the_meets_of_facet_subsets():
     rng = random.Random(15)
     complexes = [random_antichain(rng, max_facets=9) for _ in range(300)]
-    complexes += [_stripped_key(_section3_fixed(n)["polarized"][0].facets) for n in (3, 4)]
+    complexes += [_stripped_key(stanley_reisner_complex(polarize(a_dis_ideal_t2(n))[0]).facets) for n in (3, 4)]
     for facets in complexes:
         assert _closed_faces(facets) == subset_meets(facets), facets
 
@@ -397,7 +396,7 @@ def test_depth_collapses_only_the_levels_it_reads(monkeypatch):
         return _strong_collapse(facets)
 
     monkeypatch.setattr(invariants, "_strong_collapse", collapse)
-    k = _section3_fixed(4)["polarized"][0]
+    k = stanley_reisner_complex(polarize(a_dis_ideal_t2(4))[0])
     shift = len(k.vertices)
     two = SimplicialComplex(
         (*k.vertices, *(v + "'" for v in k.vertices)),
@@ -417,7 +416,7 @@ def _stripped_key(facets):
 
 def test_section3_ideal_and_core_share_one_scan():
     for n in (3, 4, 5):
-        full = _section3_fixed(n)["polarized"][0]
+        full = stanley_reisner_complex(polarize(a_dis_ideal_t2(n))[0])
         core = stanley_reisner_complex(polarize(_core_ideal(a_dis_ideal_t2(n)))[0])
         assert _stripped_key(full.facets) == _stripped_key(core.facets), n
         _link_cores.cache_clear()

@@ -26,7 +26,7 @@ from srposet import (
 )
 from srposet import rees
 from srposet.poset import _ideal_mask
-from srposet.rees import _all_chains, _polynomial, _rees_facts
+from srposet.rees import _all_chains, _lower_set_numerator, _numerator, _polynomial, _rees_facts
 
 from oracles import brute_chains, direct_numerator
 
@@ -236,6 +236,26 @@ class TestMaskKernels:
                     if q:
                         assert a_invariant_negative(p, q) == g_dis_numerator_mu_top(p, q).is_zero(), (p, sorted(q))
 
+    def test_chain_coefficients_agree_and_vanish_with_euler_condition(self):
+        # the expansion is one-to-one, so the sweep compares the two routes'
+        # chain coefficients and tests the direct ones for emptiness
+        rng = random.Random(20)
+        pairs = [
+            (p, q)
+            for n in range(1, 5)
+            for p in enumerate_posets([chr(ord("a") + i) for i in range(n)])
+            for q in all_poset_ideals(p)
+        ]
+        for _ in range(300):
+            p = random_poset(rng, [f"e{i}" for i in range(rng.randint(5, 7))])
+            pairs.append((p, random_poset_ideal(rng, p)))
+        for p, q in pairs:
+            if q:
+                qmask = _ideal_mask(p, q)
+                direct = _numerator(p, qmask)
+                assert direct == _lower_set_numerator(p, qmask), (p, sorted(q))
+                assert (not direct) == euler_condition_Q(p, q), (p, sorted(q))
+
 
 class TestReesFacts:
     def test_facts_match_public_functions(self):
@@ -248,7 +268,7 @@ class TestReesFacts:
             assert facts.cond_q == euler_condition_Q(p, q)
             assert facts.cond_interval == euler_condition_interval(p, q)
             if q:
-                assert _polynomial(p, facts.numerator) == g_dis_numerator_mu_top(p, q)
+                assert _polynomial(p, facts.qmask, facts.numerator) == g_dis_numerator_mu_top(p, q)
             else:
                 assert facts.numerator is None
             assert facts.uplus == uplus(p, q)
