@@ -1,27 +1,28 @@
 """Exact rank computations over the rationals and prime fields.
 
-Every rank is one sparse echelon: each row is reduced at its highest
-column by the pivot row stored there, until it vanishes or becomes the
-pivot of a new column.  Boundary matrices have few nonzeros per row, so
-this keeps the work near the nonzeros (Dumas, Heckenbach, Saunders and
-Welker, "Computing simplicial homology based on efficient Smith normal
-form algorithms", 2003).  Entries are Python ints: over Q every stored row
-is an integer row divided by the gcd of its entries, over F_p it is
-reduced mod p, and over F_2 it is a bitmask.  No floating point anywhere.
+Over Q and F_p a matrix is a list of sparse integer rows {column: entry}.
+Columns are int keys, not positions: only their order matters, so a
+boundary row is keyed by the masks of its faces.  Every rank is one sparse
+echelon: each row is reduced at its highest column by the pivot row stored
+there, until it vanishes or becomes the pivot of a new column.  Boundary
+matrices have few nonzeros per row, so this keeps the work near the
+nonzeros (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
+homology based on efficient Smith normal form algorithms", 2003).  Over Q
+every stored row is an integer row divided by the gcd of its entries, over
+F_p it is reduced mod p, and over F_2 a row is a bitmask.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 
 
-def _rank(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p (p prime) or over Q (p = 0) of an integer matrix."""
+def _rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p (p prime) or over Q (p = 0) of sparse integer rows."""
     pivots: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        nonzero = compress(range(len(dense)), dense)
-        row = {j: y for j in nonzero if (y := dense[j] % p if p else dense[j])}
+    for row in rows:
+        row = {j: y for j, x in row.items() if (y := x % p if p else x)}
         while row:
             high = max(row)
             pivot = pivots.get(high)
@@ -41,13 +42,13 @@ def _rank(rows: list[list[int]], p: int) -> int:
     return len(pivots)
 
 
-def rank_char0(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix."""
+def rank_char0(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows {column: entry}."""
     return _rank(rows, 0)
 
 
-def rank_modp(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix."""
+def rank_modp(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of sparse integer rows {column: entry}."""
     return _rank(rows, p)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyComplexError
-from .poset import Poset, _chain_facets, _cover_masks
+from .poset import Poset, _chain_facets
 from .simplicial import (
     FieldSpec,
     SimplicialComplex,
@@ -145,12 +145,12 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
     top adjoined) has an order complex with homology only in top degree.
 
     Deliberately implemented on the chains of each interval mask, walked on
-    P's covers found once per call and read through reduced_betti_numbers,
+    P's covers (kept on P) and read through reduced_betti_numbers,
     independently of the link-based test.
     """
     n = len(p)
     full = (1 << n) - 1
-    covers = _cover_masks(p.lt)
+    covers = p._covers()
     # index -1 of `up` is the formal bottom, index n of `down` the formal top
     up = (*p.lt, full)
     down = (*p.down_masks(), full)

@@ -59,7 +59,9 @@ class Poset:
                 raise ValueError("relation bit out of range")
             if (row >> i) & 1:
                 raise CycleError(f"{self.elements[i]} < {self.elements[i]}")
-        _cover_masks(self.lt)  # the closure check; closed + irreflexive is antisymmetric
+        # the closure check, whose covers are kept; closed + irreflexive is antisymmetric
+        object.__setattr__(self, "_cover", _cover_masks(self.lt))
+        object.__setattr__(self, "_down", None)
 
     @classmethod
     def _trusted(cls, elements: tuple[str, ...], lt: tuple[int, ...]) -> "Poset":
@@ -67,6 +69,10 @@ class Poset:
         p = object.__new__(cls)
         object.__setattr__(p, "elements", elements)
         object.__setattr__(p, "lt", lt)
+        # every instance gets the kept attributes at once, so CPython keeps
+        # them in the instance's inline values instead of a per-instance dict
+        object.__setattr__(p, "_cover", None)
+        object.__setattr__(p, "_down", None)
         return p
 
     def __len__(self) -> int:
@@ -95,15 +101,23 @@ class Poset:
         Built on the first call and kept on the instance, outside the
         dataclass fields, so equality, hashing and repr do not see it.
         """
-        cols = self.__dict__.get("_down")
+        cols = self._down
         if cols is None:
             cols = _transpose(self.lt)
             object.__setattr__(self, "_down", cols)
         return cols
 
+    def _covers(self) -> list[int]:
+        """_cover_masks(self.lt), kept on the instance as down_masks is."""
+        covers = self._cover
+        if covers is None:
+            covers = _cover_masks(self.lt)
+            object.__setattr__(self, "_cover", covers)
+        return covers
+
     def cover_pairs_idx(self) -> list[tuple[int, int]]:
         """Hasse diagram as (lower, upper) index pairs."""
-        return [(i, j) for i, up in enumerate(_cover_masks(self.lt)) for j in _bits(up)]
+        return [(i, j) for i, up in enumerate(self._covers()) for j in _bits(up)]
 
     def minimal_idx(self) -> list[int]:
         above = 0
@@ -201,7 +215,7 @@ def _least_on_cycle(rows: Sequence[int], left: Iterable[int]) -> int:
 def is_pure(p: Poset) -> bool:
     """True iff all maximal chains of p have the same cardinality."""
     n = len(p)
-    covers = _cover_masks(p.lt)
+    covers = p._covers()
     # lengths of the maximal chains from each element, computed top down:
     # an element has fewer elements above it than anything below it
     lengths = [frozenset([1])] * n
@@ -311,7 +325,7 @@ def _uplus_mask(p: Poset, qmask: int) -> Poset:
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """The simplicial complex of chains of p; facets are maximal chains."""
-    facets = _chain_facets(_cover_masks(p.lt), (1 << len(p)) - 1)
+    facets = _chain_facets(p._covers(), (1 << len(p)) - 1)
     return SimplicialComplex._trusted(p.elements, facets)
 
 

@@ -83,6 +83,7 @@ class _ReesFacts(NamedTuple):
     cond_interval: bool
     numerator: dict[int, int] | None  # chain coefficients; None when Q is empty
     uplus: Poset
+    delta_up: SimplicialComplex  # the order complex of uplus
 
 
 def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
@@ -93,12 +94,14 @@ def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
 
 
 def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
+    up = _uplus_mask(p, qmask)
     return _ReesFacts(
         qmask,
         euler_condition_Q(p, [p.elements[i] for i in _bits(qmask)]),
         _interval_vanishes(p, qmask),
         _numerator(p, qmask) if qmask else None,
-        _uplus_mask(p, qmask),
+        up,
+        order_complex(up),
     )
 
 
@@ -253,12 +256,11 @@ def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[di
     degenerate = facts.qmask == 0 or facts.qmask == (1 << len(p)) - 1
     per_field = _field_data(p, fields)
     failed = set() if degenerate else {char for _, char in _violations(p, facts, per_field)}
-    delta_up = order_complex(facts.uplus)
     return [{
         "schema_version": 1,
         "field": {"char": f.characteristic},
         "cm_P": cm_p,
-        "cm_uplus": is_cohen_macaulay_complex(delta_up, f),
+        "cm_uplus": is_cohen_macaulay_complex(facts.delta_up, f),
         "a_negative": None if facts.numerator is None else not facts.numerator,
         "cond_Q": facts.cond_q,
         "cond_interval": facts.cond_interval,
@@ -291,7 +293,7 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
         if a_neg != facts.cond_q:
             yield "a-invariant-vs-euler", None
     unique_min = len(p.minimal_idx()) == 1
-    delta_up = order_complex(facts.uplus)
+    delta_up = facts.delta_up
     delta_red = None
     if unique_min and qmask:
         # the starred minimum is least in P (+) Q, so in every facet: a cone point

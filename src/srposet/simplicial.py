@@ -8,7 +8,8 @@ void complex is not representable.
 Homology is computed on the strong-collapse core of a complex (a
 deformation retract, so every reduced Betti number is kept) from ranks of
 the augmented boundary matrices, by the sparse echelon of `_exact` in
-every characteristic: integer rows over Q, rows mod p over F_p.  Over a
+every characteristic.  Each boundary row is built straight from the face
+masks: {lower face: +-1} over Q and F_p, a bitmask over F_2.  Over a
 field, homology and cohomology dimensions coincide, and that is what
 BettiVector reports.
 """
@@ -312,10 +313,10 @@ def _betti_masks(facets: tuple[int, ...], char: int) -> tuple[int, ...]:
 
 
 def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:
-    """Rank of the boundary map from card-c faces (upper) to card-(c-1)."""
-    index = {f: i for i, f in enumerate(lower)}
-    n = len(lower)
+    """Rank of the boundary map from card-c faces (upper) to card-(c-1), with
+    rows {lower face mask: +-1}, or bitmasks over the positions in lower."""
     if char == 2:
+        index = {f: i for i, f in enumerate(lower)}
         rows = []
         for f in upper:
             row = 0
@@ -325,15 +326,13 @@ def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:
         return rank_mod2(rows)
     rows = []
     for f in upper:
-        row = [0] * n
+        row = {}
         sign = 1
         for b in _bits(f):
-            row[index[f & ~(1 << b)]] = sign
+            row[f & ~(1 << b)] = sign
             sign = -sign
         rows.append(row)
-    if char == 0:
-        return rank_char0(rows)
-    return rank_modp(rows, char)
+    return rank_char0(rows) if char == 0 else rank_modp(rows, char)
 
 
 def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:

@@ -123,6 +123,26 @@ def rank_fraction(rows: list[list[int]]) -> int:
     return rank
 
 
+def rank_mod_prime(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p via plain Gaussian elimination on entries reduced mod p,
+    column by column, dividing by the pivot with its inverse mod p."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def smith_normal_form_divisors(rows: list[list[int]]) -> list[int]:
     """Nonzero elementary divisors of an integer matrix.
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import time
 from functools import lru_cache
 from itertools import islice, permutations
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srposet import (
+    GF2,
     NEG_INF,
     POS_INF,
     QQ,
@@ -19,6 +21,7 @@ from srposet import (
     all_poset_ideals,
     enumerate_posets,
     euler_condition_Q,
+    is_cohen_macaulay_poset,
     is_poset_ideal,
     is_pure,
     open_interval,
@@ -33,6 +36,7 @@ from srposet import (
     rees_cm_report,
     uplus,
 )
+from srposet import poset as poset_module
 from srposet.poset import (
     Poset,
     _canonical,
@@ -406,6 +410,22 @@ class TestCoverMasks:
         # a < b < c without a < c
         with pytest.raises(ValueError, match="^relation is not transitively closed$"):
             _cover_masks((0b010, 0b100, 0))
+
+    def test_one_pass_per_poset(self, monkeypatch):
+        # the order complex and the interval test in two fields share P's covers
+        passes = []
+        real = poset_module._cover_masks
+        for name, module in list(sys.modules.items()):  # every binding, as imported
+            if name.startswith("srposet") and getattr(module, "_cover_masks", None) is real:
+                monkeypatch.setattr(module, "_cover_masks", lambda lt: passes.append(lt) or real(lt))
+        p = random_poset(random.Random(5), "abcdef")
+        order_complex(p)
+        for field in (QQ, GF2):
+            is_cohen_macaulay_poset(p, field)
+        assert len(passes) == 1
+        # a validated poset keeps the covers of its closure check
+        is_pure(Poset(p.elements, p.lt))
+        assert len(passes) == 2
 
 
 class TestChainFacets:

@@ -18,6 +18,7 @@ from srposet import (
     euler_condition_interval,
     g_dis_numerator_mu_top,
     g_dis_numerator_mu_top_via_lower_sets,
+    order_complex,
     poset_from_cover_relations,
     random_poset,
     random_poset_ideal,
@@ -179,6 +180,14 @@ class TestReport:
         assert not r["cm_P"]
         assert r["consistent"]  # only the Euler legs are asserted
 
+    def test_order_complex_of_uplus_built_once(self, monkeypatch):
+        sizes = []
+        real = rees.order_complex
+        monkeypatch.setattr(rees, "order_complex", lambda p: sizes.append(len(p)) or real(p))
+        diamond = poset_from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        rees_cm_report(diamond, ["a"], QQ)
+        assert sizes.count(5) == 1  # P (+) Q
+
 
 class TestRandomizedEquivalences:
     def test_lemma_equivalences_random_pairs(self):
@@ -272,6 +281,7 @@ class TestReesFacts:
             else:
                 assert facts.numerator is None
             assert facts.uplus == uplus(p, q)
+            assert facts.delta_up == order_complex(facts.uplus)
 
     def test_q_checked_at_public_entry(self):
         # _rees_facts trusts its mask; the public report checks Q first

@@ -25,7 +25,13 @@ from srposet import (
 
 from srposet.simplicial import SimplicialComplex, _betti_masks, _is_prime
 
-from oracles import betti_via_snf, brute_euler_complex, cross_polytope_boundary, rank_fraction
+from oracles import (
+    betti_via_snf,
+    brute_euler_complex,
+    cross_polytope_boundary,
+    rank_fraction,
+    rank_mod_prime,
+)
 
 RP2_FACETS = [
     [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -262,7 +268,7 @@ class TestExactRanks:
     def test_bareiss_matches_fraction_gauss(self, rows):
         from srposet._exact import rank_char0
 
-        assert rank_char0(rows) == rank_fraction(rows)
+        assert rank_char0([dict(enumerate(row)) for row in rows]) == rank_fraction(rows)
 
     @given(
         st.lists(
@@ -276,13 +282,32 @@ class TestExactRanks:
     def test_modp_consistency(self, rows, p):
         from srposet._exact import rank_mod2, rank_modp
 
-        r = rank_modp(rows, p)
+        r = rank_modp([dict(enumerate(row)) for row in rows], p)
         if p == 2:
             bitrows = [
                 sum(1 << j for j, x in enumerate(row) if x % 2) for row in rows
             ]
             assert rank_mod2(bitrows) == r
         assert r <= rank_fraction(rows)
+
+    @given(st.data(), st.sampled_from([0, 3, 5, 7]))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_are_keys(self, data, p):
+        """Sparse rows keyed by large, non-contiguous ints, as boundary rows
+        are keyed by face masks, with entries that vanish mod p."""
+        keys = data.draw(st.lists(
+            st.sets(st.integers(0, 60), min_size=1, max_size=8).map(lambda s: sum(1 << b for b in s)),
+            min_size=1, max_size=7, unique=True,
+        ))
+        entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p))
+        rows = data.draw(st.lists(st.dictionaries(st.sampled_from(keys), entry), min_size=1, max_size=7))
+        from srposet._exact import rank_char0, rank_modp
+
+        dense = [[row.get(j, 0) for j in sorted(keys)] for row in rows]
+        if p == 0:
+            assert rank_char0(rows) == rank_fraction(dense)
+        else:
+            assert rank_modp(rows, p) == rank_mod_prime(dense, p) <= rank_fraction(dense)
 
 
 class TestLargeBoundaryRanks:
