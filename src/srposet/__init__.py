@@ -57,8 +57,10 @@ from .simplicial import (
 )
 from .invariants import (
     complex_report,
+    depth_poset,
     depth_stanley_reisner,
     is_buchsbaum_complex,
+    is_buchsbaum_poset,
     is_cohen_macaulay_complex,
     is_cohen_macaulay_poset,
     krull_dim_stanley_reisner,

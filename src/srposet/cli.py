@@ -15,15 +15,14 @@ from math import factorial
 
 from . import detsym as detsym_mod
 from .errors import CapExceededError, SRPosetError
-from .invariants import complex_report, krull_dim_stanley_reisner
+from .invariants import complex_report, depth_poset, is_buchsbaum_poset, krull_dim_stanley_reisner
 from .poset import (
     Poset,
+    _chain_lengths,
     _ideal_mask,
     _ideal_orbits,
     _poset_classes,
     ideal_from_json,
-    is_pure,
-    order_complex,
     poset_from_json,
     poset_to_json,
     reduced_euler_char_poset,
@@ -90,7 +89,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _field_rows(k, fields: list[FieldSpec]) -> list[dict]:
-    """The per-field CM/Buchsbaum/depth rows of check-poset and check-complex."""
+    """The per-field CM/Buchsbaum/depth rows of check-complex, from the link
+    loop; check-poset builds the same rows from the interval pass."""
     reps = [(f.characteristic, complex_report(k, f)) for f in fields]
     return [{"char": c, "cm": r["cm"], "buchsbaum": r["buchsbaum"], "depth": r["depth"]} for c, r in reps]
 
@@ -98,14 +98,21 @@ def _field_rows(k, fields: list[FieldSpec]) -> list[dict]:
 def cmd_check_poset(args) -> int:
     p = _parse(poset_from_json, _read(args.file), "poset")
     fields = _fields_from_args(args)
-    delta = order_complex(p)
+    lengths = _chain_lengths(p)
+    dim = max(lengths, default=0)
+    rows = []
+    for f in fields:
+        depth = depth_poset(p, f)
+        cm = depth == dim
+        buchsbaum = cm or is_buchsbaum_poset(p, f)
+        rows.append({"char": f.characteristic, "cm": cm, "buchsbaum": buchsbaum, "depth": depth})
     report = {
         "schema_version": SCHEMA_VERSION,
         "elements": len(p),
-        "pure": is_pure(p),
+        "pure": len(lengths) <= 1,
         "euler_char": reduced_euler_char_poset(p),
-        "dim": krull_dim_stanley_reisner(delta),
-        "fields": _field_rows(delta, fields),
+        "dim": dim,
+        "fields": rows,
     }
     _emit(report, args.json)
     return 0

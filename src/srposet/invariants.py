@@ -23,6 +23,17 @@ equidimensional complex reaching dim.  Exact reductions keep it desk-scale:
   keyed on the generators on the variables they use, walks the complexes
   Delta_b of an ideal and of its core once for every field.
 
+Posets have a second route that never builds the order complex.  The link
+of a chain x_1 < ... < x_k of P is the join of the open intervals
+(bottom, x_1), ..., (x_k, top), so by Kuenneth for joins Hochster's depth is
+a shortest path over the intervals, Cohen-Macaulay asks every interval for
+homology in its top degree only, and Buchsbaum (Baclawski) every interval
+but (bottom, top) of a pure P.  One field-independent pass per poset,
+cached and grown only as far as a question needs, walks the chains of each
+interval that is not a cone and strong-collapses them; every field then
+reads homology through reduced_betti_numbers.  The link loop on the order
+complex stays the independent check of this route.
+
 No approximation is involved anywhere.
 """
 
@@ -31,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyComplexError
-from .poset import Poset, _chain_facets
+from .poset import Poset, _chain_facets, is_pure
 from .simplicial import (
     FieldSpec,
     SimplicialComplex,
@@ -39,6 +50,7 @@ from .simplicial import (
     _bits,
     _closed_faces,
     _compact_key,
+    _core_key,
     _link_facets,
     _strong_collapse,
     is_equidimensional,
@@ -140,35 +152,135 @@ def _link_cores(facets: tuple[int, ...]):
     return tuple(levels.items()), []
 
 
+@lru_cache(maxsize=8)
+def _interval_pass(p: Poset) -> list:
+    """The field-independent half of the poset tests, once per poset: one
+    entry per open interval walked so far, in walk order (see `_intervals`),
+    and () once the walk is complete.  Bounded, as `_link_cores` is: the
+    fields of one poset, and depth then Buchsbaum, come close together."""
+    return []
+
+
+def _intervals(p: Poset):
+    """Yields (a, b, Delta(a, b), dim Delta(a, b)) for the open intervals of
+    P with a formal bottom -1 and top n adjoined, a before b in index order,
+    except those acyclic in every field: a single element, a cone, or a core
+    that is a point (entry None).  Delta is built only where homology must
+    be read: a cover's is {emptyset} (None, dimension -1), and two or more
+    points (None, dimension 0) have homology in degree 0 alone.
+
+    Entries already walked are read back; the walk resumes past them only
+    when a call needs more, and appends whole entries, so an interrupt
+    leaves no partial one behind."""
+    records = _interval_pass(p)
+    seen = 0
+    for rec in records:  # a list iterator also sees entries appended meanwhile
+        if rec:
+            yield rec
+        seen += 1
+    if records and records[-1] == ():
+        return
+    n = len(p)
+    full = (1 << n) - 1
+    # index -1 of `up` is the formal bottom, index n of `down` the formal top
+    up = (*p.lt, full)
+    down = (*p.down_masks(), full)
+    i = 0
+    for a in range(-1, n):
+        for b in [*_bits(up[a]), n]:
+            mask = up[a] & down[b]
+            if mask and not mask & (mask - 1):
+                continue
+            if i >= seen:
+                if i == len(records):
+                    records.append(_interval_record(p, a, b, mask))
+                if records[i]:
+                    yield records[i]
+            i += 1
+    if len(records) == i:
+        records.append(())
+
+
+def _interval_record(p: Poset, a: int, b: int, mask: int):
+    """The entry of the open interval (a, b) on `mask`, built whole.  An
+    element comparable to all others lies on every maximal chain, so Delta
+    is a cone on it; the chains are walked only when there is none."""
+    if not mask:
+        return a, b, None, -1
+    lt, down = p.lt, p.down_masks()
+    related = 0
+    for x in _bits(mask):
+        rel = (lt[x] | down[x]) & mask
+        if rel | 1 << x == mask:
+            return None
+        related |= rel
+    if not related:
+        return a, b, None, 0
+    facets = _chain_facets(p._covers(), mask)
+    if len(_core_key(facets)) == 1:
+        return None
+    d = max(map(int.bit_count, facets)) - 1
+    return a, b, SimplicialComplex._trusted(p.elements, facets), d
+
+
+def _jmin(k: SimplicialComplex | None, d: int, field: FieldSpec) -> int | None:
+    """The least degree of nonzero reduced homology of an interval complex
+    of dimension d, or None if it is acyclic.  {emptyset} has it in degree
+    -1, and two or more points in degree 0."""
+    if d <= 0:
+        return d
+    betti = reduced_betti_numbers(k, field)
+    return next((i for i in range(-1, d + 1) if betti[i]), None)
+
+
+def _top_only(k: SimplicialComplex | None, d: int, field: FieldSpec) -> bool:
+    """An interval complex of dimension d has homology only in degree d."""
+    return d <= 0 or _jmin(k, d, field) in (d, None)
+
+
 def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
     """Interval criterion: every open interval of P (with formal bottom and
     top adjoined) has an order complex with homology only in top degree.
 
-    Deliberately implemented on the chains of each interval mask, walked on
-    P's covers (kept on P) and read through reduced_betti_numbers,
-    independently of the link-based test.
+    Read off the interval pass, which walks the chains of each interval at
+    most once for all fields and tests; stops at the first interval with
+    homology below its top degree.  Independent of the link-based test.
+    """
+    return all(_top_only(k, d, field) for _, _, k, d in _intervals(p))
+
+
+def is_buchsbaum_poset(p: Poset, field: FieldSpec) -> bool:
+    """Baclawski's criterion: P is pure and every open interval other than
+    (bottom, top) has homology only in its top degree."""
+    n = len(p)
+    return is_pure(p) and all(
+        _top_only(k, d, field) for a, b, k, d in _intervals(p) if (a, b) != (-1, n)
+    )
+
+
+def depth_poset(p: Poset, field: FieldSpec) -> int:
+    """Depth of the face ring of the order complex of P, from the interval
+    pass.
+
+    The link of a chain x_1 < ... < x_k is the join of the intervals
+    (bottom, x_1), ..., (x_k, top), and by Kuenneth for joins its least
+    degree of nonzero homology is the sum of theirs plus k (none if a factor
+    is acyclic).  So Hochster's formula is one less than the lightest path
+    from bottom to top over the non-acyclic intervals (x, y), each of weight
+    2 plus that least degree of Delta(x, y): 1 for a cover.
     """
     n = len(p)
-    full = (1 << n) - 1
-    covers = p._covers()
-    # index -1 of `up` is the formal bottom, index n of `down` the formal top
-    up = (*p.lt, full)
-    down = (*p.down_masks(), full)
-    for a in range(-1, n):
-        for b in [*_bits(up[a]), n]:
-            mask = up[a] & down[b]
-            if not mask & (mask - 1):
-                continue  # at most one element: dimension -1 or 0, as below
-            facets = _chain_facets(covers, mask)
-            d = max(f.bit_count() for f in facets) - 1
-            if d <= 0:
-                # d = -1: nothing below top degree; d = 0: only beta_{-1}
-                # could matter and it vanishes whenever a vertex exists
-                continue
-            betti = reduced_betti_numbers(SimplicialComplex._trusted(p.elements, facets), field)
-            if any(betti[i] for i in range(-1, d)):
-                return False
-    return True
+    into: dict[int, list[tuple[int, int]]] = {}
+    for a, b, k, d in _intervals(p):
+        j = _jmin(k, d, field)
+        if j is not None:
+            into.setdefault(b, []).append((a, j + 2))
+    down = p.down_masks()
+    dist = {-1: 0}
+    # every element has a cover below it, from the formal bottom at least
+    for y in [*sorted(range(n), key=lambda x: down[x].bit_count()), n]:
+        dist[y] = min(dist[a] + w for a, w in into[y])
+    return dist[n] - 1
 
 
 def complex_report(k: SimplicialComplex, field: FieldSpec) -> dict:

@@ -214,6 +214,11 @@ def _least_on_cycle(rows: Sequence[int], left: Iterable[int]) -> int:
 
 def is_pure(p: Poset) -> bool:
     """True iff all maximal chains of p have the same cardinality."""
+    return len(_chain_lengths(p)) <= 1
+
+
+def _chain_lengths(p: Poset) -> frozenset[int]:
+    """The cardinalities of the maximal chains of p; none if p is empty."""
     n = len(p)
     covers = p._covers()
     # lengths of the maximal chains from each element, computed top down:
@@ -222,12 +227,7 @@ def is_pure(p: Poset) -> bool:
     for x in sorted(range(n), key=lambda i: p.lt[i].bit_count()):
         if covers[x]:
             lengths[x] = frozenset(1 + l for y in _bits(covers[x]) for l in lengths[y])
-    seen: set[int] = set()
-    for x in p.minimal_idx():
-        seen |= lengths[x]
-        if len(seen) > 1:
-            return False
-    return True
+    return frozenset().union(*(lengths[x] for x in p.minimal_idx()))
 
 
 def is_poset_ideal(p: Poset, subset: Iterable[str]) -> bool:

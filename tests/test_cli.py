@@ -3,13 +3,13 @@ import time
 
 import pytest
 
-from srposet import GF2, QQ, BettiVector, cli, poset_from_cover_relations, rees
+from srposet import GF2, QQ, BettiVector, cli, poset_from_cover_relations, poset_to_json, rees
 from srposet.cli import main
-from srposet.invariants import _link_cores
+from srposet.invariants import _interval_pass, _link_cores
 from srposet.poset import _canonical
 from srposet.simplicial import _betti_masks, _core_key
 
-from oracles import cross_polytope_boundary, labelled_sweep
+from oracles import cross_polytope_boundary, determinantal_poset, labelled_sweep
 
 
 @pytest.fixture
@@ -127,6 +127,23 @@ class TestCheckPoset:
         first = capsys.readouterr().out
         main(["check-poset", chain_file])
         assert capsys.readouterr().out == first
+
+    def test_determinantal_poset(self, capsys, tmp_path):
+        """Gamma_3(4 x 4): 52 elements, 2,640 maximal chains, Cohen-Macaulay
+        of depth 12 in both fields, from the interval pass with cold caches;
+        the link loop on its order complex takes over 40 s per field."""
+        path = tmp_path / "gamma.json"
+        path.write_text(poset_to_json(determinantal_poset(4, 4, 3)))
+        for cache in (_betti_masks, _core_key, _interval_pass):
+            cache.cache_clear()
+        start = time.process_time()
+        code, rep = run_json(capsys, ["check-poset", str(path), "--json", "--char", "0", "--char", "2"])
+        assert time.process_time() - start < 2.0
+        assert code == 0
+        assert rep["elements"] == 52 and rep["pure"] and rep["dim"] == 12
+        assert [(f["char"], f["cm"], f["buchsbaum"], f["depth"]) for f in rep["fields"]] == [
+            (0, True, True, 12), (2, True, True, 12)
+        ]
 
 
 class TestCheckComplexAndHomology:

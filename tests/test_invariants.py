@@ -9,19 +9,23 @@ from srposet import (
     FieldSpec,
     complex_from_facets,
     complex_report,
+    depth_poset,
     depth_stanley_reisner,
     enumerate_posets,
     is_buchsbaum_complex,
+    is_buchsbaum_poset,
     is_cohen_macaulay_complex,
     is_cohen_macaulay_poset,
     is_equidimensional,
+    is_pure,
     krull_dim_stanley_reisner,
     order_complex,
     poset_from_cover_relations,
     random_poset,
 )
+from srposet import invariants
 
-from oracles import interval_cm
+from oracles import determinantal_poset, face_poset, interval_cm
 from test_simplicial import rp2
 
 
@@ -183,6 +187,78 @@ class TestDepthAndDim:
         k = complex_from_facets("ab", [["b"]])
         assert krull_dim_stanley_reisner(k) == 1
         assert depth_stanley_reisner(k, QQ) == 1
+
+
+class TestPosetRoute:
+    """depth_poset and is_buchsbaum_poset, read off the interval pass,
+    against the link loop on the order complex (complex_report)."""
+
+    FIELDS = (QQ, GF2)
+
+    @staticmethod
+    def assert_matches_link_route(p, field):
+        rep = complex_report(order_complex(p), field)
+        assert depth_poset(p, field) == rep["depth"], (p, field)
+        assert is_buchsbaum_poset(p, field) == rep["buchsbaum"], (p, field)
+        assert is_cohen_macaulay_poset(p, field) == rep["cm"], (p, field)
+
+    def test_every_poset_up_to_five_elements(self):
+        for n in range(6):
+            for p in enumerate_posets("abcde"[:n]):
+                for field in self.FIELDS:
+                    self.assert_matches_link_route(p, field)
+
+    def test_seeded_posets_on_six_to_ten_elements(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            p = random_poset(rng, "abcdefghij"[: rng.randint(6, 10)])
+            for field in self.FIELDS:
+                self.assert_matches_link_route(p, field)
+
+    def test_face_poset_of_projective_plane(self):
+        # the barycentric subdivision of RP^2: 2-torsion drops the depth in char 2
+        p = face_poset(rp2())
+        for field, depth in ((QQ, 3), (GF2, 2), (FieldSpec(3), 3)):
+            assert depth_poset(p, field) == depth
+            assert is_buchsbaum_poset(p, field)
+            self.assert_matches_link_route(p, field)
+
+    def test_acyclic_intervals_neither_walked_nor_read(self, monkeypatch):
+        walked, read = [], []
+        real_chains, real_betti = invariants._chain_facets, invariants.reduced_betti_numbers
+        monkeypatch.setattr(invariants, "_chain_facets", lambda c, m: walked.append(m) or real_chains(c, m))
+        monkeypatch.setattr(invariants, "reduced_betti_numbers", lambda k, f: read.append(k) or real_betti(k, f))
+        # every interval of a chain is a cone on its least element
+        assert depth_poset(chain("a", "b", "c", "d", "e"), QQ) == 5
+        assert not walked and not read
+        # the N poset is no cone, but its order complex, a path, collapses to a point
+        n_poset = poset_from_cover_relations("wxyz", [("w", "y"), ("w", "z"), ("x", "z")])
+        assert depth_poset(n_poset, QQ) == 2
+        assert walked == [0b1111] and not read
+
+
+class TestDeterminantalPosets:
+    """Gamma_t(m x n) is a distributive lattice: pure, Cohen-Macaulay in
+    every field, of depth = dim = (t - 1)(m + n - t + 1).  A wrong value
+    here is an engine bug."""
+
+    @pytest.mark.parametrize("m, n, t, size", [(3, 3, 3, 18), (3, 4, 3, 30), (4, 4, 3, 52)])
+    def test_poset_route(self, m, n, t, size):
+        p = determinantal_poset(m, n, t)
+        dim = (t - 1) * (m + n - t + 1)
+        assert len(p) == size and is_pure(p)
+        assert krull_dim_stanley_reisner(order_complex(p)) == dim
+        for field in (QQ, GF2):
+            assert is_cohen_macaulay_poset(p, field)
+            assert depth_poset(p, field) == dim
+            assert is_buchsbaum_poset(p, field)
+
+    @pytest.mark.parametrize("m, n, t", [(3, 3, 3), (3, 4, 3)])
+    def test_link_route_agrees(self, m, n, t):
+        p = determinantal_poset(m, n, t)
+        for field in (QQ, GF2):
+            rep = complex_report(order_complex(p), field)
+            assert rep["cm"] and rep["depth"] == rep["dim"] == (t - 1) * (m + n - t + 1)
 
 
 class TestEulerPoincareCrossModule:

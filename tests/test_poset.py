@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import time
+from collections import Counter
 from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial
@@ -19,8 +20,10 @@ from srposet import (
     NotComparableError,
     UnknownLabelError,
     all_poset_ideals,
+    depth_poset,
     enumerate_posets,
     euler_condition_Q,
+    is_buchsbaum_poset,
     is_cohen_macaulay_poset,
     is_poset_ideal,
     is_pure,
@@ -37,6 +40,7 @@ from srposet import (
     uplus,
 )
 from srposet import poset as poset_module
+from srposet.invariants import _interval_pass
 from srposet.poset import (
     Poset,
     _canonical,
@@ -414,14 +418,27 @@ class TestCoverMasks:
     def test_one_pass_per_poset(self, monkeypatch):
         # the order complex and the interval test in two fields share P's covers
         passes = []
+        walks = Counter()
         real = poset_module._cover_masks
+        real_chains = poset_module._chain_facets
         for name, module in list(sys.modules.items()):  # every binding, as imported
             if name.startswith("srposet") and getattr(module, "_cover_masks", None) is real:
                 monkeypatch.setattr(module, "_cover_masks", lambda lt: passes.append(lt) or real(lt))
+            if name.startswith("srposet") and getattr(module, "_chain_facets", None) is real_chains:
+                monkeypatch.setattr(
+                    module, "_chain_facets", lambda c, mask: walks.update([mask]) or real_chains(c, mask)
+                )
+        _interval_pass.cache_clear()
         p = random_poset(random.Random(5), "abcdef")
         order_complex(p)
+        walks.clear()
+        # Cohen-Macaulay in two fields, then depth and Buchsbaum, walk the
+        # chains of each interval at most once
         for field in (QQ, GF2):
             is_cohen_macaulay_poset(p, field)
+        depth_poset(p, QQ)
+        is_buchsbaum_poset(p, GF2)
+        assert walks and max(walks.values()) == 1
         assert len(passes) == 1
         # a validated poset keeps the covers of its closure check
         is_pure(Poset(p.elements, p.lt))

@@ -1,5 +1,6 @@
 import random
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +30,10 @@ from oracles import (
     betti_via_snf,
     brute_euler_complex,
     cross_polytope_boundary,
+    det_fraction,
     rank_fraction,
     rank_mod_prime,
+    smith_normal_form_divisors,
 )
 
 RP2_FACETS = [
@@ -308,6 +311,29 @@ class TestExactRanks:
             assert rank_char0(rows) == rank_fraction(dense)
         else:
             assert rank_modp(rows, p) == rank_mod_prime(dense, p) <= rank_fraction(dense)
+
+    def test_snf_oracle_on_dense_integer_matrices(self):
+        """The Smith-form oracle on a dense 7 x 7 matrix on which reducing
+        without re-pivoting grows entries past 12,000 bits, and on seeded
+        dense square matrices: as many divisors as the rank, each dividing
+        the next, with product |det|."""
+        dense = [
+            [15, 15, 0, 5, 0, 0, 0], [5, 10, 5, 0, -8, -7, 0], [-2, 0, -10, 5, 0, 0, 6],
+            [0, 0, 0, 0, -9, 3, 0], [15, 0, 7, 0, 0, -5, 0], [-5, 0, -5, 15, 0, 0, -3],
+            [0, 0, 0, 0, 0, -15, 0],
+        ]
+        rng = random.Random(61)
+        cases = [dense] + [
+            [[rng.choice([0, rng.randint(-20, 20)]) for _ in range(n)] for _ in range(n)]
+            for n in [rng.randint(1, 8) for _ in range(60)]
+        ]
+        for rows in cases:
+            divisors = smith_normal_form_divisors(rows)
+            assert len(divisors) == rank_fraction(rows), rows
+            assert all(b % a == 0 for a, b in zip(divisors, divisors[1:])), rows
+            det = det_fraction(rows)
+            assert prod(divisors) == abs(det) if len(divisors) == len(rows) else det == 0, rows
+        assert smith_normal_form_divisors(dense) == [1, 1, 1, 1, 1, 45, 422550]
 
 
 class TestLargeBoundaryRanks:
