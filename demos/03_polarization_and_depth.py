@@ -79,6 +79,16 @@ print("after killing size >= 2:", small.poset.elements)
 core_data, regular = core_hodge(small)
 print("core drops:", regular)
 
+# Beyond the paper's t = 2: quotienting by the bitableaux of size >= t
+# gives the discrete algebra of the symmetric t-minors, of dimension
+# (t-1)(2n-t+2)/2 (Kutz, 1974).  At t = 3 the depth is no longer 2.
+for n in (3, 4):
+    minor_data = build_minor_hodge_data(n)
+    minors = hodge_quotient(minor_data, omega_ideal(minor_data, 3)).sigma
+    print(f"t=3 n={n}:", {"dim": dim_monomial_quotient(minors),
+                          "depth char 0": depth_monomial_quotient(minors, QQ),
+                          "depth char 2": depth_monomial_quotient(minors, GF2)})
+
 # The polarized complex itself is available for inspection.
 polarized3, aux3 = polarize(quad)
 complex3 = stanley_reisner_complex(polarized3)

@@ -19,6 +19,7 @@ from .monomial import (
     HodgeData,
     MonomialIdeal,
     _core_ideal,
+    _support,
     depth_monomial_quotient,
     dim_monomial_quotient,
     ideal_from_generators,
@@ -155,7 +156,7 @@ def _is_facet(ideal: MonomialIdeal, face: int) -> bool:
     of the squarefree ideal, read off the generator supports: a face contains
     no support, and it is a facet when each vertex v outside it has a support
     s with s - face = {v}."""
-    outside = {sum(1 << i for i, e in enumerate(g) if e) & ~face for g in ideal.generators}
+    outside = {_support(g) & ~face for g in ideal.generators}
     return 0 not in outside and all(
         1 << v in outside for v in range(len(ideal.variables)) if not face >> v & 1
     )

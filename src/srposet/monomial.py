@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotSquarefreeError, UnitIdealError
 from .poset import Poset, _ideal_mask
-from .simplicial import SimplicialComplex, FieldSpec, _json_list
+from .simplicial import SimplicialComplex, FieldSpec, _bits, _json_list
 from .invariants import depth_stanley_reisner, krull_dim_stanley_reisner
 
 
@@ -24,17 +24,34 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _support(g: tuple[int, ...]) -> int:
+    return sum(1 << i for i, e in enumerate(g) if e)
+
+
 def _minimal_generators(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The generators no other one divides, sorted.  Candidates are kept
-    with their support masks: h can divide g only if supp(h) lies in
-    supp(g), so the exponents are compared only after that mask test."""
-    uniq = sorted(set(gens), key=lambda g: (sum(g), g))
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for g in uniq:
-        s = sum(1 << i for i, e in enumerate(g) if e)
-        if not any(not t & ~s and _divides(h, g) for t, h in out):
-            out.append((s, g))
-    return tuple(sorted(g for _, g in out))
+    """The generators no other one divides, sorted.  Two distinct generators
+    of equal total degree never divide each other, so after duplicates go
+    each generator is compared only with the kept generators of strictly
+    lower degree, support mask first: h can divide g only if supp(h) lies
+    in supp(g).  The lowest degree is kept whole, and its masks are built
+    only if a higher degree follows; a family of one degree does no
+    comparison at all."""
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for g in set(gens):
+        groups.setdefault(sum(g), []).append(g)
+    degrees = sorted(groups)
+    out = groups[degrees[0]] if degrees else []
+    lower = [(_support(g), g) for g in out] if len(degrees) > 1 else []
+    for d in degrees[1:]:
+        kept = [
+            (s, g)
+            for g in groups[d]
+            for s in (_support(g),)
+            if not any(not t & ~s and _divides(h, g) for t, h in lower)
+        ]
+        out += [g for _, g in kept]
+        lower += kept
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -52,7 +69,7 @@ class MonomialIdeal:
             raise ValueError("duplicate variable names")
         n = len(self.variables)
         for g in gens:
-            if len(g) != n or any(e < 0 for e in g):
+            if len(g) != n or min(g, default=0) < 0:
                 raise ValueError("bad exponent vector")
         object.__setattr__(self, "generators", _minimal_generators(gens))
 
@@ -178,7 +195,7 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
         raise NotSquarefreeError("Stanley-Reisner complex needs a squarefree ideal")
     n = len(ideal.variables)
     full = (1 << n) - 1
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.generators]
+    supports = [_support(g) for g in ideal.generators]
     facets = sorted(full & ~t for t in _minimal_transversals(supports))
     return SimplicialComplex._trusted(ideal.variables, tuple(facets))
 
@@ -285,35 +302,60 @@ def _takayama_complexes(
     depth_monomial_quotient in walk order, for generators that use all their
     variables; the walk stops after the first Delta_b = {emptyset}, facets
     (0,).  Keyed on the generators alone, so an ideal and its core share one
-    walk.  The box is walked one coordinate at a time, a branch pruned as
-    soon as a generator divides x^b."""
+    walk.
+
+    The box is walked depth first, one coordinate at a time, b_j = 0, 1,
+    ... pushed in turn, so the largest is popped first.  Generators are bits
+    k of one int: bit k of le[j][e] says the k-th generator has exponent at
+    most e at j, of gt[j][e] that it exceeds e there, and of tail0[j] that
+    it is 0 after j.  A partial b (the later coordinates 0) carries the
+    generators that divide x^b on its coordinates, and a branch is cut as
+    soon as one of them lies in tail0[j]: it then divides x^b, and does so
+    for every larger b_j.
+
+    At a leaf no generator divides x^b.  The nonface of the k-th generator
+    is {i : u_i > b_i}, the i whose column gt[i][b_i] holds bit k.  The
+    vertices that are a nonface on their own lie in every transversal and
+    hit every nonface that holds them, so one pass over the columns (which
+    generators have two or more vertices) finds them, and the minimal
+    transversals are taken only over the nonfaces of the generators left.
+    On the symmetric t-minors almost none are left."""
     n = len(gens[0]) if gens else 0
     full = (1 << n) - 1
+    everyone = (1 << len(gens)) - 1
     rho = [max(g[j] for g in gens) for j in range(n)]
-    # above[e][k]: the variables where the k-th generator's exponent exceeds e
-    above = [
-        [sum(1 << j for j in range(n) if g[j] > e) for g in gens]
-        for e in range(max(rho, default=0))
+    le = [
+        [sum(1 << k for k, g in enumerate(gens) if g[j] <= e) for e in range(rho[j])]
+        for j in range(n)
     ]
+    gt = [[everyone & ~m for m in row] for row in le]
+    tail0 = [sum(1 << k for k, g in enumerate(gens) if not any(g[j + 1:])) for j in range(n)]
     found: dict[tuple[int, ...], None] = {}
-    # a partial b (the later coordinates 0) with the generators that divide
-    # x^b on its coordinates; one that is 0 on the rest divides x^b itself
-    stack = [((), gens)]
+    stack = [((), everyone)]
     while stack:
         b, within = stack.pop()
         j = len(b)
         if j < n:
-            for e in range(rho[j]):
-                nxt = tuple(g for g in within if g[j] <= e)
-                if any(not any(g[j + 1:]) for g in nxt):
+            for e, below in enumerate(le[j]):
+                nxt = within & below
+                if nxt & tail0[j]:
                     break  # x^b x_j^e is in I, and so is every larger power
                 stack.append(((*b, e), nxt))
             continue
-        nonfaces = [0] * len(gens)
-        for e, row in enumerate(above):
-            at = sum(1 << i for i in range(n) if b[i] == e)
-            nonfaces = [m | (a & at) for m, a in zip(nonfaces, row)]
-        facets = tuple(sorted(full & ~t for t in _minimal_transversals(list(set(nonfaces)))))
+        cols = [gt[i][e] for i, e in enumerate(b)]
+        ones = twos = 0  # the generators with at least one, two nonface vertices
+        for col in cols:
+            twos |= ones & col
+            ones |= col
+        forced = hit = 0  # the one-vertex nonfaces, and the generators they hit
+        for i, col in enumerate(cols):
+            if col & ~twos:
+                forced |= 1 << i
+                hit |= col
+        nonfaces = [
+            sum(1 << i for i, u in enumerate(gens[k]) if u > b[i]) for k in _bits(everyone & ~hit)
+        ]
+        facets = tuple(sorted(full & ~(forced | t) for t in _minimal_transversals(nonfaces)))
         found[facets] = None
         if facets == (0,):
             break

@@ -8,7 +8,10 @@ interval criterion, which takes each interval and its order complex from
 the public labelled functions, the labelled sweep, which enumerates pairs
 naively but checks them with the library's pair report, and the depth of a
 monomial quotient by polarization, which reads one complex through the
-public depth_stanley_reisner where the library walks Takayama's complexes.
+public depth_stanley_reisner where the library walks Takayama's complexes,
+and the tuple walk of Takayama's box, which takes each leaf's minimal
+transversals from the library (they are checked against subset enumeration
+on their own).
 """
 
 from __future__ import annotations
@@ -335,6 +338,38 @@ def depth_via_polarization(ideal, field) -> int:
     polarized, aux = polarize(ideal)
     k = stanley_reisner_complex(polarized)
     return (0 if k.facets == (0,) else depth_stanley_reisner(k, field)) - aux
+
+
+def takayama_complexes_naive(gens) -> tuple[tuple[int, ...], ...]:
+    """The facet tuples of monomial._takayama_complexes by a walk on tuples:
+    a partial b carries the tuple of generators that divide x^b on its
+    coordinates, a branch is cut when one of them is 0 on every later
+    coordinate, and a leaf's nonfaces are built coordinate by coordinate.
+    The same depth-first order as the library's walk (b_j = 0, 1, ...
+    pushed in turn), and the same stop after the first facets (0,)."""
+    from srposet.monomial import _minimal_transversals
+
+    n = len(gens[0]) if gens else 0
+    full = (1 << n) - 1
+    rho = [max(g[j] for g in gens) for j in range(n)]
+    found: dict[tuple[int, ...], None] = {}
+    stack = [((), tuple(gens))]
+    while stack:
+        b, within = stack.pop()
+        j = len(b)
+        if j < n:
+            for e in range(rho[j]):
+                nxt = tuple(g for g in within if g[j] <= e)
+                if any(not any(g[j + 1:]) for g in nxt):
+                    break
+                stack.append(((*b, e), nxt))
+            continue
+        nonfaces = {sum(1 << i for i in range(n) if g[i] > b[i]) for g in gens}
+        facets = tuple(sorted(full & ~t for t in _minimal_transversals(list(nonfaces))))
+        found[facets] = None
+        if facets == (0,):
+            break
+    return tuple(found)
 
 
 def _minimalize(masks) -> tuple[int, ...]:

@@ -8,6 +8,8 @@ from srposet import (
     a_dis_ideal_t2,
     build_minor_hodge_data,
     core_hodge,
+    depth_monomial_quotient,
+    dim_monomial_quotient,
     hodge_quotient,
     ideal_from_strings,
     is_poset_ideal,
@@ -24,6 +26,8 @@ from srposet import (
 from srposet.detsym import _is_facet, check_cap
 from srposet.monomial import _takayama_complexes
 from srposet.errors import CapExceededError
+
+from oracles import depth_via_polarization
 
 
 class TestTupleOrder:
@@ -141,6 +145,35 @@ class TestQuadraticIdeal:
         core, regular = core_hodge(quotient)
         assert sorted(regular) == [f"[1|1]", f"[{n}|{n}]"]
         assert len(core.poset) == len(quotient.poset) - 2
+
+
+def minor_ideal(n, t):
+    """The discrete algebra's ideal of the symmetric t-minors: Sigma
+    restricted to the bitableaux of size below t."""
+    data = build_minor_hodge_data(n)
+    return hodge_quotient(data, omega_ideal(data, t)).sigma
+
+
+class TestSymmetricMinors:
+    """Beyond the paper's t = 2: Kutz (Trans. AMS 194, 1974) gives the
+    symmetric t-minor ring dimension (t - 1)(2n - t + 2)/2, and its discrete
+    algebra keeps that dimension."""
+
+    @pytest.mark.parametrize("n, t", [(3, 3), (4, 3), (4, 4), (5, 3)])
+    def test_dimension(self, n, t):
+        assert dim_monomial_quotient(minor_ideal(n, t)) == (t - 1) * (2 * n - t + 2) // 2
+
+    @pytest.mark.parametrize("n, t, depth", [(3, 3, 4), (4, 3, 4), (4, 4, 6)])
+    def test_depth(self, n, t, depth):
+        ideal = minor_ideal(n, t)
+        for field in (QQ, GF2):
+            assert depth_monomial_quotient(ideal, field) == depth, field
+
+    def test_depth_via_polarization_at_n3_t3(self):
+        ideal = minor_ideal(3, 3)
+        assert len(ideal.variables) == 12 and len(ideal.generators) == 21
+        for field in (QQ, GF2):
+            assert depth_via_polarization(ideal, field) == depth_monomial_quotient(ideal, field) == 4
 
 
 class TestPolarizedIdeal:

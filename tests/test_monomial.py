@@ -31,9 +31,15 @@ from srposet import (
     radical_monomial,
     stanley_reisner_complex,
 )
-from srposet.monomial import _core_ideal, _minimal_generators, _minimal_transversals
+from srposet import monomial
+from srposet.monomial import (
+    _core_ideal,
+    _minimal_generators,
+    _minimal_transversals,
+    _takayama_complexes,
+)
 
-from oracles import depth_via_polarization
+from oracles import depth_via_polarization, takayama_complexes_naive
 from test_engine_reductions import naive_depth
 
 
@@ -127,6 +133,40 @@ class TestMinimalization:
             units += got == ((0,) * n,)
         assert units >= 50
         assert _minimal_generators([]) == ()
+
+        # one degree: every quadratic family of Section 3, shuffled with
+        # duplicates, is its own minimal set
+        for n in (3, 4, 5, 6):
+            quad = list(a_dis_ideal_t2(n).generators)
+            gens = quad + rng.sample(quad, len(quad) // 2)
+            rng.shuffle(gens)
+            assert _minimal_generators(gens) == brute(gens) == tuple(sorted(quad)), n
+        # gaps between the degrees: linear and cubic with no quadratic, or
+        # quadratic and quartic, and the unit among higher degrees
+        for trial in range(100):
+            n = rng.randint(2, 5)
+            degrees = rng.choice([(1, 3), (2, 4), (1, 4, 6), (0, 2, 5), (0, 3)])
+            gens = []
+            for _ in range(rng.randint(1, 8)):
+                g = [0] * n
+                for _ in range(rng.choice(degrees)):
+                    g[rng.randrange(n)] += 1
+                gens.append(tuple(g))
+            gens += rng.sample(gens, len(gens) // 2)
+            rng.shuffle(gens)
+            assert _minimal_generators(gens) == brute(gens), gens
+            if 0 in degrees and (0,) * n in gens:
+                assert _minimal_generators(gens) == ((0,) * n,)
+
+    def test_constructor_checks_exponent_vectors(self):
+        with pytest.raises(ValueError):
+            MonomialIdeal(("x", "y"), [(1, -1)])
+        with pytest.raises(ValueError):
+            MonomialIdeal(("x", "y"), [(1, 0, 0)])
+        with pytest.raises(ValueError):
+            MonomialIdeal(("x", "y"), [(1,)])
+        assert MonomialIdeal((), ()).is_zero()
+        assert MonomialIdeal((), [()]).is_unit()
 
 
 class TestPolarize:
@@ -402,6 +442,45 @@ class TestDepthRoutes:
             start = time.process_time()
             assert depth_monomial_quotient(ideal, field) == 2
             assert time.process_time() - start < 1.0, field
+
+
+class TestTakayamaWalk:
+    """The bitset walk against the tuple walk of tests/oracles.py: the same
+    facet tuples in the same order."""
+
+    def test_seeded_ideals(self):
+        rng = random.Random(23)
+        powers = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            ideal = _core_ideal(ideal_from_generators([f"x{i}" for i in range(n)], gens))
+            if not ideal.is_proper():
+                gens = [g for g in gens if any(g)]
+                ideal = _core_ideal(ideal_from_generators([f"x{i}" for i in range(n)], gens))
+            got = _takayama_complexes.__wrapped__(ideal.generators)
+            assert got == takayama_complexes_naive(ideal.generators), ideal
+            powers += not ideal.is_squarefree()
+        assert powers > 300, powers
+
+    def test_section3_cores(self, monkeypatch):
+        # every walk of a Section 3 core is whole: its one Delta_b =
+        # {emptyset} comes at the last leaf, and each leaf takes the minimal
+        # transversals once
+        cores = [_core_ideal(a_dis_ideal_t2(n)).generators for n in (3, 4, 5, 6, 7)]
+        want = [takayama_complexes_naive(gens) for gens in cores]
+        leaves = []
+
+        def counted(edges):
+            leaves[-1] += 1
+            return _minimal_transversals(edges)
+
+        monkeypatch.setattr(monomial, "_minimal_transversals", counted)
+        for gens, complexes in zip(cores, want):
+            leaves.append(0)
+            got = _takayama_complexes.__wrapped__(gens)
+            assert got == complexes and got[-1] == (0,), len(gens)
+        assert leaves == [3, 8, 21, 55, 144]
 
 
 class TestHodge:
