@@ -10,13 +10,12 @@ ideal is the single zero exponent vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .errors import NotSquarefreeError, UnitIdealError
 from .poset import Poset, _ideal_mask
-from .simplicial import SimplicialComplex, FieldSpec, _bits, _json_list
+from .simplicial import SimplicialComplex, FieldSpec, _Value, _bits, _json_list
 from .invariants import depth_stanley_reisner, krull_dim_stanley_reisner
 
 
@@ -54,17 +53,15 @@ def _minimal_generators(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """Minimal generating set of exponent vectors over named variables;
     any generating set given is minimalized and sorted."""
 
-    variables: tuple[str, ...]
-    generators: tuple[tuple[int, ...], ...]
+    _fields = ("variables", "generators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        gens = tuple(map(tuple, self.generators))
+    def __init__(self, variables: Iterable[str], generators: Iterable[Iterable[int]]):
+        object.__setattr__(self, "variables", tuple(variables))
+        gens = tuple(map(tuple, generators))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         n = len(self.variables)
@@ -365,17 +362,17 @@ def _takayama_complexes(
 # ----------------------------------------------------------------------
 # Hodge data: a poset H together with an ideal of monomials on H.
 
-@dataclass(frozen=True)
-class HodgeData:
+class HodgeData(_Value):
     """Combinatorial data (H, Sigma) of a Hodge algebra; its discrete
     algebra is k[H]/(Sigma)."""
 
-    poset: Poset
-    sigma: MonomialIdeal
+    _fields = ("poset", "sigma")
 
-    def __post_init__(self):
-        if self.sigma.variables != self.poset.elements:
+    def __init__(self, poset: Poset, sigma: MonomialIdeal):
+        if sigma.variables != poset.elements:
             raise ValueError("sigma must live on the poset's elements")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def core_hodge(data: HodgeData) -> tuple[HodgeData, list[str]]:

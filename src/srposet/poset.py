@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleError,
@@ -19,7 +18,7 @@ from .errors import (
     NotComparableError,
     UnknownLabelError,
 )
-from .simplicial import SimplicialComplex, _bits, _json_list, _label_mask, _remap_mask
+from .simplicial import SimplicialComplex, _Value, _bits, _json_list, _label_mask, _remap_mask
 
 STAR = "*"
 
@@ -38,16 +37,14 @@ NEG_INF = _Sentinel("-inf")
 POS_INF = _Sentinel("+inf")
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Value):
     """Finite poset on labelled elements with a transitively closed order."""
 
-    elements: tuple[str, ...]
-    lt: tuple[int, ...]
+    _fields = ("elements", "lt")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "lt", tuple(self.lt))
+    def __init__(self, elements: Iterable[str], lt: Iterable[int]):
+        object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "lt", tuple(lt))
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise ValueError("duplicate element labels")
@@ -65,7 +62,7 @@ class Poset:
 
     @classmethod
     def _trusted(cls, elements: tuple[str, ...], lt: tuple[int, ...]) -> "Poset":
-        """Skips __post_init__: for posets the engine derives from valid ones."""
+        """Skips the checks of __init__: for posets the engine derives from valid ones."""
         p = object.__new__(cls)
         object.__setattr__(p, "elements", elements)
         object.__setattr__(p, "lt", lt)
@@ -74,6 +71,10 @@ class Poset:
         object.__setattr__(p, "_cover", None)
         object.__setattr__(p, "_down", None)
         return p
+
+    def _key(self) -> tuple:
+        # a Poset keys the engine's caches, so its key is built without a loop
+        return self.elements, self.lt
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -99,7 +100,8 @@ class Poset:
         """For each element, the bitmask of elements strictly below it.
 
         Built on the first call and kept on the instance, outside the
-        dataclass fields, so equality, hashing and repr do not see it.
+        fields `elements` and `lt`, so equality, hashing and repr do not
+        see it.
         """
         cols = self._down
         if cols is None:

@@ -26,8 +26,9 @@ meets Moebius: fast subset convolution", STOC 2007).
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DegenerateQWarning, EmptyQError
 from .invariants import is_cohen_macaulay_complex
@@ -75,15 +76,10 @@ class IntPolynomial:
 _DEGENERATE = "Q is empty or all of P; the biconditional is not asserted"
 
 
-class _ReesFacts(NamedTuple):
-    """What a pair (P, Q) gives whatever the field; Q is checked at entry."""
-
-    qmask: int
-    cond_q: bool
-    cond_interval: bool
-    numerator: dict[int, int] | None  # chain coefficients; None when Q is empty
-    uplus: Poset
-    delta_up: SimplicialComplex  # the order complex of uplus
+# What a pair (P, Q) gives whatever the field; Q is checked at entry.  The
+# numerator is the dict of chain coefficients, None when Q is empty, and
+# delta_up is the order complex of uplus.
+_ReesFacts = namedtuple("_ReesFacts", "qmask cond_q cond_interval numerator uplus delta_up")
 
 
 def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
@@ -105,12 +101,9 @@ def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
     )
 
 
-class _PosetFacts(NamedTuple):
-    """What the pairs of one poset P share, whatever Q."""
-
-    signs: tuple[int, ...]  # poset._chain_signs of P
-    nonzero: int  # mask of the x with chi~((-inf, x)) != 0
-    chi: int  # chi~(P)
+# What the pairs of one poset P share, whatever Q: poset._chain_signs of P,
+# the mask of the x with chi~((-inf, x)) != 0, and chi~(P).
+_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi")
 
 
 def _chi(signs: tuple[int, ...], mask: int) -> int:

@@ -16,9 +16,8 @@ BettiVector reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
 import json
 
 from ._exact import rank_char0, rank_mod2, rank_modp
@@ -56,34 +55,64 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _Value:
+    """Base of the immutable value classes.  Two values are equal when their
+    classes match and so do their public fields, named in ``_fields``; the
+    hash is that of the field tuple.  Other attributes, such as the caches a
+    Poset keeps, take no part in equality, hashing or repr."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(_Value):
     """Coefficient field selector: characteristic 0 or a prime p."""
 
-    characteristic: int = 0
+    _fields = ("characteristic",)
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0):
+        c = characteristic
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"characteristic must be an int, got {c!r}")
         if c >= _PRIME_BOUND:
             raise ValueError(f"characteristic must be below {_PRIME_BOUND}, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        object.__setattr__(self, "characteristic", c)
 
 
 QQ = FieldSpec(0)
 GF2 = FieldSpec(2)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Vertex labels plus a sorted inclusion-antichain of facet bitmasks."""
 
-    vertices: tuple[str, ...]
-    facets: tuple[int, ...]
+    _fields = ("vertices", "facets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "facets", tuple(self.facets))
+    def __init__(self, vertices: Iterable[str], facets: Iterable[int]):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "facets", tuple(facets))
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         if not self.facets:
@@ -97,7 +126,7 @@ class SimplicialComplex:
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], facets: tuple[int, ...]) -> "SimplicialComplex":
-        """Skips __post_init__: for complexes the engine derives from valid input."""
+        """Skips the checks of __init__: for complexes the engine derives from valid input."""
         k = object.__new__(cls)
         object.__setattr__(k, "vertices", vertices)
         object.__setattr__(k, "facets", facets)
@@ -165,11 +194,14 @@ def is_equidimensional(k: SimplicialComplex) -> bool:
     return len({f.bit_count() for f in k.facets}) <= 1
 
 
-@dataclass
-class BettiVector:
-    """Reduced Betti numbers indexed by degree, from -1 up to dim."""
+class BettiVector(_Value):
+    """Reduced Betti numbers indexed by degree, from -1 up to dim.  Not
+    hashable: its values dict can change."""
 
-    values: dict[int, int]
+    _fields = ("values",)
+
+    def __init__(self, values: dict[int, int]):
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, degree: int) -> int:
         return self.values.get(degree, 0)

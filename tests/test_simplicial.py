@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import prod
 
@@ -234,6 +235,11 @@ class TestFieldSpec:
     @pytest.mark.parametrize("bad", [1, 4, 6, -2, 9])
     def test_nonprime_rejected(self, bad):
         with pytest.raises(ValueError):
+            FieldSpec(bad)
+
+    @pytest.mark.parametrize("bad", [3.0, 7.5, float("nan"), None, "3", True, False])
+    def test_non_int_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             FieldSpec(bad)
 
 

@@ -1,8 +1,8 @@
 """The trust boundary: what the engine builds without validation would pass
 the public validators.
 
-Poset._trusted and SimplicialComplex._trusted skip __post_init__.  Here
-they are wrapped so that every result they give is rebuilt through the
+Poset._trusted and SimplicialComplex._trusted skip the checks of __init__.
+Here they are wrapped so that every result they give is rebuilt through the
 public constructor, which must accept it and give an equal object; the
 functions that derive objects inside the engine are then run on exhaustive
 and seeded inputs.
