@@ -27,7 +27,7 @@ from srposet import (
     euler_condition_interval,
     g_dis_numerator_mu_top,
     g_dis_numerator_mu_top_via_lower_sets,
-    is_cohen_macaulay_complex,
+    is_cohen_macaulay_poset,
     order_complex,
     poset_from_cover_relations,
     rees_cm_report,
@@ -51,7 +51,7 @@ print("same via lower-set rewrite:",
 print("a-invariant negative:", a_invariant_negative(antichain, ["a"]))
 up = uplus(antichain, ["a"])
 print("P (+) Q facets:", order_complex(up).facet_labels(),
-      "-> CM:", is_cohen_macaulay_complex(order_complex(up), QQ))
+      "-> CM:", is_cohen_macaulay_poset(up, QQ))
 
 # Unique minimal element: every ideal works (each lower set is a cone).
 diamond = poset_from_cover_relations(
@@ -81,8 +81,8 @@ for p in enumerate_posets(["a", "b", "c", "d"]):
         a_neg = a_invariant_negative(p, q)
         assert a_neg == euler_condition_Q(p, q)
         for field in (QQ, GF2):
-            if len(q) < len(p) and is_cohen_macaulay_complex(order_complex(p), field):
-                cm_up = is_cohen_macaulay_complex(order_complex(uplus(p, q)), field)
+            if len(q) < len(p) and is_cohen_macaulay_poset(p, field):
+                cm_up = is_cohen_macaulay_poset(uplus(p, q), field)
                 assert cm_up == a_neg
         pairs += 1
 print(f"mini-sweep clean on {pairs} (poset, nonempty ideal) pairs")

@@ -144,7 +144,7 @@ def _link_cores(facets: tuple[int, ...]):
 
     Bounded, because the complexes worth keeping are the few a caller
     revisits at once (the fields of one complex, depth then Buchsbaum, an
-    ideal and its core), while a sweep passes through tens of thousands.
+    ideal and its core), while a Takayama walk passes through hundreds.
     """
     levels: dict[int, list[int]] = {}
     for sigma in _closed_faces(facets):  # sorted by size

@@ -432,7 +432,7 @@ def ideal_from_json(text: str) -> MonomialIdeal:
         for v, k in entry.items():
             if v not in index:
                 raise ValueError(f"unknown variable {v!r} in generator")
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"exponent of {v!r} must be an integer")
             e[index[v]] = k
         gens.append(tuple(e))

@@ -10,7 +10,9 @@ same coefficient from Euler characteristics of lower sets of Q
 Public functions check Q at entry (poset._ideal_mask).  _rees_facts
 takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
 any field (the Q condition through euler_condition_Q, the one Q check of a
-sweep pair); _violations lists the properties the pair breaks.  Every chi~
+sweep pair); _violations lists the properties the pair breaks.  It asks
+the interval test (is_cohen_macaulay_poset) whether P and P (+) Q are
+Cohen-Macaulay; Delta(P (+) Q) is built for its Betti numbers.  Every chi~
 sums one sign vector per poset (poset._chain_signs).  Only the two
 numerators list all chains (_all_chains, the faces of the order complex).
 Inside, a numerator is a dict of chain coefficients: for each chain b
@@ -31,7 +33,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .errors import DegenerateQWarning, EmptyQError
-from .invariants import is_cohen_macaulay_complex
+from .invariants import is_cohen_macaulay_poset
 from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
 from .simplicial import (
     BettiVector,
@@ -77,9 +79,8 @@ _DEGENERATE = "Q is empty or all of P; the biconditional is not asserted"
 
 
 # What a pair (P, Q) gives whatever the field; Q is checked at entry.  The
-# numerator is the dict of chain coefficients, None when Q is empty, and
-# delta_up is the order complex of uplus.
-_ReesFacts = namedtuple("_ReesFacts", "qmask cond_q cond_interval numerator uplus delta_up")
+# numerator is the dict of chain coefficients, None when Q is empty.
+_ReesFacts = namedtuple("_ReesFacts", "qmask cond_q cond_interval numerator uplus")
 
 
 def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
@@ -90,14 +91,12 @@ def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
 
 
 def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
-    up = _uplus_mask(p, qmask)
     return _ReesFacts(
         qmask,
         euler_condition_Q(p, [p.elements[i] for i in _bits(qmask)]),
         _interval_vanishes(p, qmask),
         _numerator(p, qmask) if qmask else None,
-        up,
-        order_complex(up),
+        _uplus_mask(p, qmask),
     )
 
 
@@ -253,7 +252,7 @@ def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[di
         "schema_version": 1,
         "field": {"char": f.characteristic},
         "cm_P": cm_p,
-        "cm_uplus": is_cohen_macaulay_complex(facts.delta_up, f),
+        "cm_uplus": is_cohen_macaulay_poset(facts.uplus, f),
         "a_negative": None if facts.numerator is None else not facts.numerator,
         "cond_Q": facts.cond_q,
         "cond_interval": facts.cond_interval,
@@ -263,9 +262,9 @@ def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[di
 
 
 def _field_data(p: Poset, fields: list[FieldSpec]) -> list[tuple[FieldSpec, BettiVector, bool]]:
-    """(field, Betti numbers, Cohen-Macaulayness) of the order complex of P."""
+    """(field, Betti numbers of the order complex, Cohen-Macaulayness) of P."""
     delta = order_complex(p)
-    return [(f, reduced_betti_numbers(delta, f), is_cohen_macaulay_complex(delta, f)) for f in fields]
+    return [(f, reduced_betti_numbers(delta, f), is_cohen_macaulay_poset(p, f)) for f in fields]
 
 
 def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, int | None]]:
@@ -286,7 +285,7 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
         if a_neg != facts.cond_q:
             yield "a-invariant-vs-euler", None
     unique_min = len(p.minimal_idx()) == 1
-    delta_up = facts.delta_up
+    delta_up = order_complex(facts.uplus)
     delta_red = None
     if unique_min and qmask:
         # the starred minimum is least in P (+) Q, so in every facet: a cone point
@@ -298,7 +297,7 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
             yield "betti-not-preserved", char
         if delta_red is not None and reduced_betti_numbers(delta_red, f) != BettiVector({}):
             yield "deleted-star-not-acyclic", char
-        cm_up = cm_p and is_cohen_macaulay_complex(delta_up, f)
+        cm_up = cm_p and is_cohen_macaulay_poset(facts.uplus, f)
         if cm_p and facts.cond_interval and not cm_up:
             yield "interval-condition-but-not-cm", char
         if cm_p and unique_min and not cm_up:

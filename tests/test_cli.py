@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from srposet import GF2, QQ, BettiVector, cli, poset_from_cover_relations, poset_to_json, rees
+from srposet import GF2, QQ, BettiVector, cli, invariants, poset_from_cover_relations, poset_to_json, rees
 from srposet.cli import main
 from srposet.invariants import _interval_pass, _link_cores
 from srposet.poset import _canonical
@@ -392,12 +392,33 @@ class TestSweep:
     def test_failure_is_reported(self, monkeypatch, capsys):
         # if every P counted as Cohen-Macaulay, so would every P (+) Q, and
         # the a-invariant biconditional must break
-        monkeypatch.setattr(rees, "is_cohen_macaulay_complex", lambda k, f: True)
+        monkeypatch.setattr(rees, "is_cohen_macaulay_poset", lambda p, f: True)
         code = main(["sweep", "--max-elements", "3"])
         out = capsys.readouterr().out
         assert code == 1
         assert out.startswith("FAIL biconditional-fails: ")
         assert len(out.splitlines()) == 1
+
+
+class TestPosetRoute:
+    """The sweep, uplus and rees_cm_report decide whether P and P (+) Q are
+    Cohen-Macaulay through the interval pass, never the link loop."""
+
+    def test_link_loop_not_reached(self, monkeypatch, capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("link loop reached")
+
+        monkeypatch.setattr(invariants, "_link_depth", refuse)
+        assert main(["sweep", "--max-elements", "4"]) == 0
+        assert capsys.readouterr().out.startswith("sweep ok: 1789 ")
+        diamond = poset_from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        path = tmp_path / "diamond.json"
+        path.write_text(poset_to_json(diamond))
+        code, rep = run_json(capsys, ["uplus", str(path), ideal_file(tmp_path, ["a"]), "--json"])
+        assert code == 0
+        assert all(f["cm_P"] and f["cm_uplus"] and f["consistent"] for f in rep["fields"])
+        report = rees.rees_cm_report(diamond, ["a"], GF2)
+        assert report["cm_uplus"] and report["consistent"]
 
 
 class TestSweepFailures:
@@ -453,17 +474,17 @@ class TestSweepFailures:
 
     def test_interval_condition_but_not_cm(self, monkeypatch, capsys):
         # P itself keeps its Cohen-Macaulayness; P (+) Q with Q nonempty loses it
-        real = rees.is_cohen_macaulay_complex
+        real = rees.is_cohen_macaulay_poset
         monkeypatch.setattr(
-            rees, "is_cohen_macaulay_complex",
-            lambda k, f: not any(v.endswith("*") for v in k.vertices) and real(k, f),
+            rees, "is_cohen_macaulay_poset",
+            lambda p, f: not any(v.endswith("*") for v in p.elements) and real(p, f),
         )
         self.sweep_fails(capsys, "interval-condition-but-not-cm")
 
     def test_unique_min_but_not_cm(self, monkeypatch, capsys):
         real = cli._field_data
         monkeypatch.setattr(cli, "_field_data", lambda p, fields: [(f, b, True) for f, b, _ in real(p, fields)])
-        monkeypatch.setattr(rees, "is_cohen_macaulay_complex", lambda k, f: False)
+        monkeypatch.setattr(rees, "is_cohen_macaulay_poset", lambda p, f: False)
         self.sweep_fails(capsys, "unique-min-but-not-cm")
 
 

@@ -548,3 +548,10 @@ class TestJson:
     def test_wrong_json_types_rejected(self, text):
         with pytest.raises(ValueError):
             monomial_ideal_from_json(text)
+
+    @pytest.mark.parametrize("exponent", ["true", "false", "1.0"])
+    def test_exponent_must_be_an_integer(self, exponent):
+        # JSON true is a Python bool, and bool is a subclass of int
+        text = '{"variables": ["x"], "generators": [{"x": %s}]}' % exponent
+        with pytest.raises(ValueError, match="^exponent of 'x' must be an integer$"):
+            monomial_ideal_from_json(text)

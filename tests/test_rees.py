@@ -8,6 +8,7 @@ from srposet import (
     QQ,
     DegenerateQWarning,
     EmptyQError,
+    FieldSpec,
     IntPolynomial,
     NotAnIdealError,
     UnknownLabelError,
@@ -18,6 +19,7 @@ from srposet import (
     euler_condition_interval,
     g_dis_numerator_mu_top,
     g_dis_numerator_mu_top_via_lower_sets,
+    is_cohen_macaulay_complex,
     order_complex,
     poset_from_cover_relations,
     random_poset,
@@ -26,8 +28,8 @@ from srposet import (
     uplus,
 )
 from srposet import rees
-from srposet.poset import _ideal_mask
-from srposet.rees import _all_chains, _lower_set_numerator, _numerator, _polynomial, _rees_facts
+from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes
+from srposet.rees import _all_chains, _cm_reports, _lower_set_numerator, _numerator, _polynomial, _rees_facts
 
 from oracles import brute_chains, direct_numerator
 
@@ -187,6 +189,13 @@ class TestReport:
         diamond = poset_from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
         rees_cm_report(diamond, ["a"], QQ)
         assert sizes.count(5) == 1  # P (+) Q
+        # a degenerate report reads no Betti numbers of P (+) Q, so builds none
+        sizes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateQWarning)
+            rees_cm_report(diamond, [], QQ)
+            rees_cm_report(diamond, "abcd", QQ)
+        assert sizes == [4, 4]  # P, once per report
 
 
 class TestRandomizedEquivalences:
@@ -281,7 +290,6 @@ class TestReesFacts:
             else:
                 assert facts.numerator is None
             assert facts.uplus == uplus(p, q)
-            assert facts.delta_up == order_complex(facts.uplus)
 
     def test_q_checked_at_public_entry(self):
         # _rees_facts trusts its mask; the public report checks Q first
@@ -289,3 +297,26 @@ class TestReesFacts:
             rees_cm_report(chain("a", "b"), ["b"], QQ)
         with pytest.raises(UnknownLabelError):
             rees_cm_report(chain("a", "b"), ["zz"], QQ)
+
+
+class TestPosetRouteOracle:
+    """The report's Cohen-Macaulay flags come from the interval pass on P and
+    on P (+) Q; the link loop on their order complexes is the oracle."""
+
+    def test_every_pair_class_up_to_six_elements(self):
+        fields = [QQ, GF2, FieldSpec(3)]
+        classes = 0
+        for n, level in zip(range(7), _poset_classes()):
+            labels = tuple(chr(ord("a") + i) for i in range(n))
+            for lt, _, gens in level:
+                p = Poset(labels, lt)
+                delta = order_complex(p)
+                cm_p = [is_cohen_macaulay_complex(delta, f) for f in fields]
+                for qmask in _ideal_orbits(lt, gens):
+                    facts = _rees_facts(p, qmask)
+                    delta_up = order_complex(facts.uplus)
+                    for f, cm, report in zip(fields, cm_p, _cm_reports(p, facts, fields)):
+                        assert report["cm_P"] == cm, (p, qmask, f)
+                        assert report["cm_uplus"] == is_cohen_macaulay_complex(delta_up, f), (p, qmask, f)
+                    classes += 1
+        assert classes == 4870
