@@ -154,32 +154,25 @@ def _link_cores(facets: tuple[int, ...]):
 
 @lru_cache(maxsize=8)
 def _interval_pass(p: Poset) -> list:
-    """The field-independent half of the poset tests, once per poset: one
-    entry per open interval walked so far, in walk order (see `_intervals`),
-    and () once the walk is complete.  Bounded, as `_link_cores` is: the
-    fields of one poset, and depth then Buchsbaum, come close together."""
+    """The field-independent half of the poset tests, once per poset: the
+    entries of the intervals walked so far, indexed by walk position (see
+    `_intervals`).  Bounded, as `_link_cores` is: the fields of one poset,
+    and depth then Buchsbaum, come close together."""
     return []
 
 
 def _intervals(p: Poset):
     """Yields (a, b, Delta(a, b), dim Delta(a, b)) for the open intervals of
     P with a formal bottom -1 and top n adjoined, a before b in index order,
-    except those acyclic in every field: a single element, a cone, or a core
-    that is a point (entry None).  Delta is built only where homology must
-    be read: a cover's is {emptyset} (None, dimension -1), and two or more
-    points (None, dimension 0) have homology in degree 0 alone.
+    except those acyclic in every field (entry None).  Delta is built only
+    where homology must be read: a cover's is {emptyset} (None, dimension
+    -1), and two or more points (None, dimension 0) have homology in degree
+    0 alone.
 
-    Entries already walked are read back; the walk resumes past them only
-    when a call needs more, and appends whole entries, so an interrupt
-    leaves no partial one behind."""
+    The i-th entry is built when the walk reaches i = len(list), as
+    `_link_depth` grows `_link_cores`, and appended whole: an interrupt
+    leaves no partial one behind, and every other reader reads it back."""
     records = _interval_pass(p)
-    seen = 0
-    for rec in records:  # a list iterator also sees entries appended meanwhile
-        if rec:
-            yield rec
-        seen += 1
-    if records and records[-1] == ():
-        return
     n = len(p)
     full = (1 << n) - 1
     # index -1 of `up` is the formal bottom, index n of `down` the formal top
@@ -188,23 +181,18 @@ def _intervals(p: Poset):
     i = 0
     for a in range(-1, n):
         for b in [*_bits(up[a]), n]:
-            mask = up[a] & down[b]
-            if mask and not mask & (mask - 1):
-                continue
-            if i >= seen:
-                if i == len(records):
-                    records.append(_interval_record(p, a, b, mask))
-                if records[i]:
-                    yield records[i]
+            if i == len(records):
+                records.append(_interval_record(p, a, b, up[a] & down[b]))
+            if records[i]:
+                yield records[i]
             i += 1
-    if len(records) == i:
-        records.append(())
 
 
 def _interval_record(p: Poset, a: int, b: int, mask: int):
     """The entry of the open interval (a, b) on `mask`, built whole.  An
-    element comparable to all others lies on every maximal chain, so Delta
-    is a cone on it; the chains are walked only when there is none."""
+    element comparable to all others, a lone element included, lies on
+    every maximal chain, so Delta is a cone on it and acyclic (None); the
+    chains are walked only when there is none."""
     if not mask:
         return a, b, None, -1
     lt, down = p.lt, p.down_masks()
@@ -226,16 +214,12 @@ def _interval_record(p: Poset, a: int, b: int, mask: int):
 def _jmin(k: SimplicialComplex | None, d: int, field: FieldSpec) -> int | None:
     """The least degree of nonzero reduced homology of an interval complex
     of dimension d, or None if it is acyclic.  {emptyset} has it in degree
-    -1, and two or more points in degree 0."""
+    -1, and two or more points in degree 0.  Homology only in the top
+    degree reads as _jmin in (d, None)."""
     if d <= 0:
         return d
     betti = reduced_betti_numbers(k, field)
     return next((i for i in range(-1, d + 1) if betti[i]), None)
-
-
-def _top_only(k: SimplicialComplex | None, d: int, field: FieldSpec) -> bool:
-    """An interval complex of dimension d has homology only in degree d."""
-    return d <= 0 or _jmin(k, d, field) in (d, None)
 
 
 def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
@@ -246,7 +230,7 @@ def is_cohen_macaulay_poset(p: Poset, field: FieldSpec) -> bool:
     most once for all fields and tests; stops at the first interval with
     homology below its top degree.  Independent of the link-based test.
     """
-    return all(_top_only(k, d, field) for _, _, k, d in _intervals(p))
+    return all(_jmin(k, d, field) in (d, None) for _, _, k, d in _intervals(p))
 
 
 def is_buchsbaum_poset(p: Poset, field: FieldSpec) -> bool:
@@ -254,7 +238,7 @@ def is_buchsbaum_poset(p: Poset, field: FieldSpec) -> bool:
     (bottom, top) has homology only in its top degree."""
     n = len(p)
     return is_pure(p) and all(
-        _top_only(k, d, field) for a, b, k, d in _intervals(p) if (a, b) != (-1, n)
+        _jmin(k, d, field) in (d, None) for a, b, k, d in _intervals(p) if (a, b) != (-1, n)
     )
 
 

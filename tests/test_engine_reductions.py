@@ -19,20 +19,23 @@ from srposet import (
     SimplicialComplex,
     a_dis_ideal_t2,
     complex_from_facets,
+    depth_poset,
     depth_stanley_reisner,
     is_buchsbaum_complex,
+    is_buchsbaum_poset,
     is_cohen_macaulay_complex,
     is_cohen_macaulay_poset,
     is_equidimensional,
     link,
     order_complex,
     polarize,
+    poset_from_cover_relations,
     random_poset,
     reduced_betti_numbers,
     stanley_reisner_complex,
 )
 from srposet import invariants
-from srposet.invariants import _link_cores
+from srposet.invariants import _interval_pass, _intervals, _link_cores
 from srposet.monomial import _core_ideal
 from srposet.poset import NEG_INF, POS_INF, open_interval
 from srposet.simplicial import (
@@ -384,6 +387,73 @@ def test_interrupted_scan_is_not_replayed(monkeypatch):
             assert depth_stanley_reisner(k, QQ) == want, (k, at)
         interrupts += collapses
     assert interrupts > 10, interrupts
+
+
+def _poset_answers(p):
+    return [
+        test(p, field)
+        for test in (is_cohen_macaulay_poset, depth_poset, is_buchsbaum_poset)
+        for field in (QQ, GF2)
+    ]
+
+
+def test_interrupted_interval_walk_is_not_replayed(monkeypatch):
+    # interrupt the interval pass at each of its chain walks in turn; the
+    # next calls must build the interrupted entry again, not read a stand-in
+    calls = []
+    stop_at = [None]
+    real_chains = invariants._chain_facets
+
+    def chains(covers, mask):
+        if len(calls) == stop_at[0]:
+            raise KeyboardInterrupt
+        calls.append(mask)
+        return real_chains(covers, mask)
+
+    monkeypatch.setattr(invariants, "_chain_facets", chains)
+    rng = random.Random(31)
+    posets = [random_poset(rng, "abcdefgh"[: rng.randint(6, 8)]) for _ in range(40)]
+    posets.append(poset_from_cover_relations("wxyz", [("w", "y"), ("w", "z"), ("x", "z")]))
+    interrupts = 0
+    for p in posets:
+        _interval_pass.cache_clear()
+        calls.clear()
+        want = _poset_answers(p)
+        walks = len(calls)
+        for at in range(walks):
+            _interval_pass.cache_clear()
+            calls.clear()
+            stop_at[0] = at
+            with pytest.raises(KeyboardInterrupt):
+                depth_poset(p, QQ)  # depth reads every interval
+            stop_at[0] = None
+            assert _poset_answers(p) == want, (p, at)
+            assert len(calls) == walks, (p, at)
+        interrupts += walks
+    assert interrupts > 50, interrupts
+
+
+def test_interval_readers_share_one_walk(monkeypatch):
+    # two readers advanced alternately yield what one reader alone does,
+    # and walk the chains of each interval once between them
+    calls = []
+    real_chains = invariants._chain_facets
+    monkeypatch.setattr(invariants, "_chain_facets", lambda c, m: calls.append(m) or real_chains(c, m))
+    rng = random.Random(32)
+    for _ in range(20):
+        p = random_poset(rng, "abcdefgh"[: rng.randint(6, 8)])
+        _interval_pass.cache_clear()
+        calls.clear()
+        alone = list(_intervals(p))
+        walks = calls[:]
+        _interval_pass.cache_clear()
+        calls.clear()
+        first, second = _intervals(p), _intervals(p)
+        pairs = list(zip(first, second))
+        assert next(second, None) is None
+        assert [x for x, _ in pairs] == [y for _, y in pairs] == alone, p
+        assert all(x is y for x, y in pairs), p
+        assert calls == walks, p
 
 
 def test_depth_collapses_only_the_levels_it_reads(monkeypatch):
