@@ -15,7 +15,7 @@ from math import factorial
 
 from . import detsym as detsym_mod
 from .errors import CapExceededError, SRPosetError
-from .invariants import complex_report, depth_poset, is_buchsbaum_poset, krull_dim_stanley_reisner
+from .invariants import _field_report, complex_report, depth_poset, is_buchsbaum_poset, krull_dim_stanley_reisner
 from .poset import (
     Poset,
     _chain_lengths,
@@ -88,11 +88,11 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _field_rows(k, fields: list[FieldSpec]) -> list[dict]:
-    """The per-field CM/Buchsbaum/depth rows of check-complex, from the link
-    loop; check-poset builds the same rows from the interval pass."""
-    reps = [(f.characteristic, complex_report(k, f)) for f in fields]
-    return [{"char": c, "cm": r["cm"], "buchsbaum": r["buchsbaum"], "depth": r["depth"]} for c, r in reps]
+def _field_rows(reports) -> list[dict]:
+    """The per-field CM/Buchsbaum/depth rows of both check commands, from
+    the field reports of invariants: the link loop's for a complex, the
+    interval pass's for a poset."""
+    return [{"char": r["field"]["char"], "cm": r["cm"], "buchsbaum": r["buchsbaum"], "depth": r["depth"]} for r in reports]
 
 
 def cmd_check_poset(args) -> int:
@@ -100,19 +100,13 @@ def cmd_check_poset(args) -> int:
     fields = _fields_from_args(args)
     lengths = _chain_lengths(p)
     dim = max(lengths, default=0)
-    rows = []
-    for f in fields:
-        depth = depth_poset(p, f)
-        cm = depth == dim
-        buchsbaum = cm or is_buchsbaum_poset(p, f)
-        rows.append({"char": f.characteristic, "cm": cm, "buchsbaum": buchsbaum, "depth": depth})
     report = {
         "schema_version": SCHEMA_VERSION,
         "elements": len(p),
         "pure": len(lengths) <= 1,
         "euler_char": reduced_euler_char_poset(p),
         "dim": dim,
-        "fields": rows,
+        "fields": _field_rows(_field_report(p, f, dim, depth_poset(p, f), is_buchsbaum_poset) for f in fields),
     }
     _emit(report, args.json)
     return 0
@@ -127,7 +121,7 @@ def cmd_check_complex(args) -> int:
         "equidimensional": is_equidimensional(k),
         "euler_char": reduced_euler_char_complex(k),
         "dim": krull_dim_stanley_reisner(k),
-        "fields": _field_rows(k, fields),
+        "fields": _field_rows(complex_report(k, f) for f in fields),
     }
     _emit(report, args.json)
     return 0

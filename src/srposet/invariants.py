@@ -267,16 +267,16 @@ def depth_poset(p: Poset, field: FieldSpec) -> int:
     return dist[n] - 1
 
 
+def _field_report(x, field: FieldSpec, dim: int, depth: int, buchsbaum) -> dict:
+    """The report of x, a complex or a poset, over one field: Cohen-Macaulay is
+    depth = dim; buchsbaum(x, field), which it implies, runs only when that fails."""
+    cm = depth == dim
+    return {"dim": dim, "depth": depth, "cm": cm, "buchsbaum": cm or buchsbaum(x, field),
+            "field": {"char": field.characteristic}}
+
+
 def complex_report(k: SimplicialComplex, field: FieldSpec) -> dict:
     """Summary report of the face-ring invariants over one field; the face
     ring of {emptyset} is the field, of depth 0."""
-    dim = krull_dim_stanley_reisner(k)
     depth = _depth_masks(k.facets, field.characteristic)
-    cm = depth == dim
-    return {
-        "dim": dim,
-        "depth": depth,
-        "cm": cm,
-        "buchsbaum": cm or is_buchsbaum_complex(k, field),
-        "field": {"char": field.characteristic},
-    }
+    return _field_report(k, field, krull_dim_stanley_reisner(k), depth, is_buchsbaum_complex)

@@ -35,11 +35,13 @@ def _minimal_generators(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...
     in supp(g).  The lowest degree is kept whole, and its masks are built
     only if a higher degree follows; a family of one degree does no
     comparison at all."""
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for g in set(gens):
-        groups.setdefault(sum(g), []).append(g)
+    groups: dict[int, set[tuple[int, ...]]] = {}
+    for g in gens:  # every one: a set would keep (1, 0) and drop an equal (1.0, 0)
+        if type(d := sum(g)) is not int:  # an int exactly when every exponent is
+            raise ValueError("bad exponent vector")
+        groups.setdefault(d, set()).add(g)
     degrees = sorted(groups)
-    out = groups[degrees[0]] if degrees else []
+    out = list(groups[degrees[0]]) if degrees else []
     lower = [(_support(g), g) for g in out] if len(degrees) > 1 else []
     for d in degrees[1:]:
         kept = [

@@ -39,31 +39,27 @@ from .simplicial import (
     BettiVector,
     FieldSpec,
     SimplicialComplex,
+    _Value,
     _bits,
     _faces_by_card,
     reduced_betti_numbers,
 )
 
 
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Multivariate polynomial with arbitrary-precision integer coefficients.
 
-    Terms map exponent tuples to nonzero coefficients.
+    Terms map exponent tuples to nonzero coefficients; not hashable.
     """
 
-    __slots__ = ("variables", "terms")
+    _fields = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: dict[tuple[int, ...], int]):
-        self.variables = tuple(variables)
-        self.terms = {e: c for e, c in terms.items() if c}
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -333,7 +333,7 @@ def _betti_masks(facets: tuple[int, ...], char: int) -> tuple[int, ...]:
 
     Bounded, so that memory stays flat over a long sweep.  The library
     passes only strong-collapse cores, and few distinct ones recur: a whole
-    `srposet sweep --max-elements 5` leaves 118 entries.
+    `srposet sweep --max-elements 5` leaves 42 entries, and 7 elements 846.
     """
     grouped = _faces_by_card(facets)
     maxc = len(grouped) - 1

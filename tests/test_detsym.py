@@ -253,3 +253,13 @@ class TestReproduction:
                 reproduce_section3(n, field)
         info = _takayama_complexes.cache_info()
         assert (info.misses, info.hits) == (4, 12), info
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_minor_hodge_data(0), "n must be positive"),
+    (lambda: omega_ideal(build_minor_hodge_data(2), 0), "t must be positive"),
+    (lambda: a_dis_ideal_t2(0), "n must be positive"),
+], ids=["hodge-data", "omega", "a-dis"])
+def test_validation_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -1,5 +1,7 @@
 import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,13 @@ class TestMinimalization:
     def test_zero_ideal(self):
         ideal = ideal_from_generators(("x",), [])
         assert ideal.is_zero() and ideal.is_proper()
+
+    @pytest.mark.parametrize("gens", [[(1.5, 0)], [(2.0, 1)], [(1, 0), (Fraction(1, 2), 2)], [(1, 0), (1.0, 0)]])
+    def test_non_integer_exponents_rejected(self, gens):
+        with pytest.raises(ValueError, match="^bad exponent vector$"):
+            MonomialIdeal(["x", "y"], gens)
+        with pytest.raises(ValueError, match="^bad exponent vector$"):
+            ideal_from_strings(["x", "y"], [list(zip("xy", g)) for g in gens])
 
     def test_list_fields_become_tuples(self):
         ideal = MonomialIdeal(("x", "y"), ((1, 1),))
@@ -555,3 +564,32 @@ class TestJson:
         text = '{"variables": ["x"], "generators": [{"x": %s}]}' % exponent
         with pytest.raises(ValueError, match="^exponent of 'x' must be an integer$"):
             monomial_ideal_from_json(text)
+
+
+XY = ideal_from_generators(["x", "y"], [(1, 0)])
+YX = ideal_from_generators(["y", "x"], [(1, 0)])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MonomialIdeal(["x", "x"], [(1, 0)]), ValueError, "duplicate variable names"),
+    (lambda: XY.contains_ideal(YX), ValueError, "variable sets differ"),
+    (lambda: colon_monomial(XY, YX), ValueError, "variable sets differ"),
+    (
+        lambda: polarize(ideal_from_generators(["x", "x(2)"], [(2, 0)])),
+        ValueError,
+        "polarization name collision: x(2)",
+    ),
+    (
+        lambda: stanley_reisner_complex(ideal_from_generators(["x"], [(0,)])),
+        UnitIdealError,
+        "Stanley-Reisner complex needs a proper ideal",
+    ),
+    (
+        lambda: monomial_ideal_from_json('{"generators": []}'),
+        ValueError,
+        "ideal JSON must have 'variables' and 'generators' keys",
+    ),
+], ids=["duplicate-variables", "contains-ideal", "colon", "polar-collision", "sr-unit", "json-no-variables"])
+def test_validation_errors(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

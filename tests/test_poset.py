@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -629,3 +630,15 @@ class TestJson:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             poset_from_json('{"covers": []}')
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Poset(["a", "a"], [0, 0]), ValueError, "duplicate element labels"),
+    (lambda: Poset(["a"], [0, 0]), ValueError, "relation size does not match element count"),
+    (lambda: Poset(["a", "b"], [4, 0]), ValueError, "relation bit out of range"),
+    (lambda: Poset(["a", "b"], [2, 2]), CycleError, "b < b"),
+    (lambda: chain("a", "b").index("z"), UnknownLabelError, "z"),
+], ids=["duplicate-labels", "relation-size", "bit-out-of-range", "x<x", "unknown-label"])
+def test_validation_errors(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

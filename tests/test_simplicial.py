@@ -385,3 +385,13 @@ class TestJson:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             complex_from_json('{"vertices": []}')
+
+
+@pytest.mark.parametrize("vertices, facets, message", [
+    (["x", "x"], [1], "duplicate vertex labels"),
+    (["x"], [], "a complex has at least the empty face; use facets=(0,)"),
+    (["x"], [2], "facet bit out of range"),
+], ids=["duplicate-vertices", "no-facets", "bit-out-of-range"])
+def test_validation_errors(vertices, facets, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimplicialComplex(vertices, facets)

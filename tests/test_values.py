@@ -1,9 +1,10 @@
 """The value classes: equality, hashing, repr, immutability and copying.
 
 Poset, SimplicialComplex, FieldSpec, MonomialIdeal and HodgeData are
-immutable and compared and hashed by their public fields; BettiVector is
-compared with missing degrees read as zero and is not hashable.  Importing
-the package loads neither `dataclasses` nor `typing`.
+immutable and compared and hashed by their public fields; IntPolynomial is
+compared by its fields too, and BettiVector with missing degrees read as
+zero; neither is hashable.  Importing the package loads neither
+`dataclasses` nor `typing`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from srposet import (
     BettiVector,
     FieldSpec,
     HodgeData,
+    IntPolynomial,
     MonomialIdeal,
     Poset,
     SimplicialComplex,
@@ -54,24 +56,32 @@ def examples():
             HodgeData(chain("x", "y"), ideal_from_generators(["x", "y"], [(1, 0)])),
         ),
         (BettiVector({-1: 0, 0: 1}), BettiVector({0: 1}), BettiVector({0: 2})),
+        (
+            IntPolynomial(("x", "y"), {(1, 0): 2, (0, 1): -1}),
+            IntPolynomial(variables=["x", "y"], terms={(0, 1): -1, (1, 0): 2, (1, 1): 0}),
+            IntPolynomial(("y", "x"), {(1, 0): 2, (0, 1): -1}),
+        ),
     ]
 
 
-IDS = ["Poset", "SimplicialComplex", "FieldSpec", "MonomialIdeal", "HodgeData", "BettiVector"]
+IDS = ["Poset", "SimplicialComplex", "FieldSpec", "MonomialIdeal", "HodgeData", "BettiVector", "IntPolynomial"]
+UNHASHABLE = (BettiVector, IntPolynomial)
 
 
-@pytest.mark.parametrize("case", range(6), ids=IDS)
+@pytest.mark.parametrize("case", range(len(IDS)), ids=IDS)
 def test_equal_exactly_when_class_and_fields_match(case):
     value, same, other = examples()[case]
     assert value == same and same == value and not value != same
     assert value != other and other != value
-    if isinstance(value, BettiVector):
+    if isinstance(value, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(value)
         return
     assert hash(value) == hash(same)
     assert len({value, same, other}) == 2
 
 
-@pytest.mark.parametrize("case", range(6), ids=IDS)
+@pytest.mark.parametrize("case", range(len(IDS)), ids=IDS)
 def test_other_types_not_implemented(case):
     value = examples()[case][0]
     for foreign in (None, 0, "x", (), object()):
@@ -102,6 +112,10 @@ def test_reprs():
     )
     assert repr(BettiVector({-1: 0, 0: 1})) == "BettiVector(values={-1: 0, 0: 1})"
     assert repr(reduced_betti_numbers(k, QQ)) == "BettiVector(values={-1: 0, 0: 1, 1: 0})"
+    assert repr(IntPolynomial(("x", "y"), {(1, 0): 2, (0, 1): -1, (2, 1): 1})) == (
+        "IntPolynomial(-1*y + 2*x + 1*x^2*y)"
+    )
+    assert repr(IntPolynomial(("x",), {})) == repr(IntPolynomial(("x",), {(1,): 0})) == "IntPolynomial(0)"
 
 
 def test_keyword_construction():
@@ -112,7 +126,7 @@ def test_keyword_construction():
     assert BettiVector(values={0: 1})[0] == 1
 
 
-@pytest.mark.parametrize("case", range(6), ids=IDS)
+@pytest.mark.parametrize("case", range(len(IDS)), ids=IDS)
 def test_attributes_cannot_be_assigned_or_deleted(case):
     value = examples()[case][0]
     before = repr(value)
@@ -124,7 +138,7 @@ def test_attributes_cannot_be_assigned_or_deleted(case):
     assert repr(value) == before
 
 
-@pytest.mark.parametrize("case", range(6), ids=IDS)
+@pytest.mark.parametrize("case", range(len(IDS)), ids=IDS)
 def test_pickle_and_deepcopy_round_trip(case):
     value = examples()[case][0]
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
