@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import compress
 
 from .errors import NotSquarefreeError, UnitIdealError
 from .poset import Poset, _ideal_mask
 from .simplicial import SimplicialComplex, FieldSpec, _Value, _bits, _json_list
-from .invariants import depth_stanley_reisner, krull_dim_stanley_reisner
+from .invariants import depth_stanley_reisner
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -71,6 +72,15 @@ class MonomialIdeal(_Value):
             if len(g) != n or min(g, default=0) < 0:
                 raise ValueError("bad exponent vector")
         object.__setattr__(self, "generators", _minimal_generators(gens))
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], generators: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
+        """Skips the checks of __init__ and only sorts: for ideals the engine
+        derives from valid ones with a generating set minimal by construction."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "variables", variables)
+        object.__setattr__(k, "generators", tuple(sorted(generators)))
+        return k
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({list(self.variables)!r}, {self.generator_strings()!r})"
@@ -140,7 +150,8 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     Returns the squarefree polarized ideal together with the number of
     auxiliary variables introduced.  Each variable with maximal exponent e
     spawns copies 2..e, appended after the original variables, grouped by
-    variable in the original order.
+    variable in the original order.  Polarization keeps divisibility in
+    both directions, so the polarized generators are minimal as they come.
     """
     if not ideal.is_proper():
         raise UnitIdealError("cannot polarize the unit ideal")
@@ -165,7 +176,7 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
                 for k in range(2, d + 1):
                     e[copy_index[(i, k)]] = 1
         gens.append(tuple(e))
-    return ideal_from_generators(new_vars, gens), aux
+    return MonomialIdeal._trusted(tuple(new_vars), gens), aux
 
 
 def radical_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -184,9 +195,8 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
 
     Facets are complements of the minimal transversals of the generator
     supports; these are an antichain already, so the complex is trusted.
-    Cached, as the values are immutable; but one section3 unit (both fields,
-    n = 3..6) gives the cache 0 hits and 8 misses, and its hits come only
-    from repeated public dim_monomial_quotient calls on one ideal.
+    Cached, as the values are immutable; but the engine itself never calls
+    it, so its hits come only from repeated public calls on one ideal.
     """
     if not ideal.is_proper():
         raise UnitIdealError("Stanley-Reisner complex needs a proper ideal")
@@ -253,10 +263,16 @@ def _intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def dim_monomial_quotient(ideal: MonomialIdeal) -> int:
-    """Krull dimension of the quotient by the ideal, via the radical."""
+    """Krull dimension of the quotient, read off the generator supports:
+    dim S/I = dim S/rad I is n less the least size of a transversal of the
+    supports, the nonfaces of _forced_split at b = 0."""
     if not ideal.is_proper():
         raise UnitIdealError("dimension of the zero ring")
-    return krull_dim_stanley_reisner(stanley_reisner_complex(radical_monomial(ideal)))
+    gens = ideal.generators
+    n = len(ideal.variables)
+    cols = [sum(1 << k for k in compress(range(len(gens)), col)) for col in zip(*gens)] or [0] * n
+    forced, rest = _forced_split(gens, (0,) * n, cols)
+    return n - forced.bit_count() - min(t.bit_count() for t in _minimal_transversals(rest))
 
 
 def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec) -> int:
@@ -281,15 +297,13 @@ def depth_monomial_quotient(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """
     if not ideal.is_proper():
         raise UnitIdealError("depth of the zero ring")
-    gens = ideal.generators
-    used = [j for j in range(len(ideal.variables)) if any(g[j] for g in gens)]
-    cones = len(ideal.variables) - len(used)
-    names = tuple(ideal.variables[j] for j in used)
-    depth = len(used)  # the depth never exceeds the number of vertices
-    for facets in _takayama_complexes(tuple(tuple(g[j] for j in used) for g in gens)):
+    core = _core_ideal(ideal)
+    cones = len(ideal.variables) - len(core.variables)
+    depth = len(core.variables)  # the depth never exceeds the number of vertices
+    for facets in _takayama_complexes(core.generators):
         if facets == (0,):
             return cones  # Delta_b = {emptyset}: k[Delta_b] = k has depth 0
-        depth = min(depth, depth_stanley_reisner(SimplicialComplex._trusted(names, facets), field))
+        depth = min(depth, depth_stanley_reisner(SimplicialComplex._trusted(core.variables, facets), field))
     return cones + depth
 
 
@@ -313,12 +327,9 @@ def _takayama_complexes(
     for every larger b_j.
 
     At a leaf no generator divides x^b.  The nonface of the k-th generator
-    is {i : u_i > b_i}, the i whose column gt[i][b_i] holds bit k.  The
-    vertices that are a nonface on their own lie in every transversal and
-    hit every nonface that holds them, so one pass over the columns (which
-    generators have two or more vertices) finds them, and the minimal
-    transversals are taken only over the nonfaces of the generators left.
-    On the symmetric t-minors almost none are left."""
+    is {i : u_i > b_i}, the i whose column gt[i][b_i] holds bit k; the
+    minimal transversals are taken only over the nonfaces _forced_split
+    leaves.  On the symmetric t-minors almost none are left."""
     n = len(gens[0]) if gens else 0
     full = (1 << n) - 1
     everyone = (1 << len(gens)) - 1
@@ -341,24 +352,30 @@ def _takayama_complexes(
                     break  # x^b x_j^e is in I, and so is every larger power
                 stack.append(((*b, e), nxt))
             continue
-        cols = [gt[i][e] for i, e in enumerate(b)]
-        ones = twos = 0  # the generators with at least one, two nonface vertices
-        for col in cols:
-            twos |= ones & col
-            ones |= col
-        forced = hit = 0  # the one-vertex nonfaces, and the generators they hit
-        for i, col in enumerate(cols):
-            if col & ~twos:
-                forced |= 1 << i
-                hit |= col
-        nonfaces = [
-            sum(1 << i for i, u in enumerate(gens[k]) if u > b[i]) for k in _bits(everyone & ~hit)
-        ]
+        forced, nonfaces = _forced_split(gens, b, [gt[i][e] for i, e in enumerate(b)])
         facets = tuple(sorted(full & ~(forced | t) for t in _minimal_transversals(nonfaces)))
         found[facets] = None
         if facets == (0,):
             break
     return tuple(found)
+
+
+def _forced_split(gens: Sequence[tuple[int, ...]], b: tuple[int, ...], cols: list[int]) -> tuple[int, list[int]]:
+    """The nonfaces {i : u_i > b_i} of the generators u, none empty, given
+    as columns (bit k of cols[i]: the k-th generator has i in its nonface),
+    split into the vertices that are a nonface on their own, which lie in
+    every transversal, and the nonfaces those vertices miss; only the
+    latter are built."""
+    ones = twos = 0  # the generators with at least one, two nonface vertices
+    for col in cols:
+        twos |= ones & col
+        ones |= col
+    forced = hit = 0  # the one-vertex nonfaces, and the generators they hit
+    for i, col in enumerate(cols):
+        if col & ~twos:
+            forced |= 1 << i
+            hit |= col
+    return forced, [sum(1 << i for i, u in enumerate(gens[k]) if u > b[i]) for k in _bits(ones & ~hit)]
 
 
 # ----------------------------------------------------------------------
@@ -390,28 +407,25 @@ def core_hodge(data: HodgeData) -> tuple[HodgeData, list[str]]:
 
 def hodge_quotient(data: HodgeData, ideal_labels: Iterable[str]) -> HodgeData:
     """Quotient by a poset ideal Q: restrict to H minus Q and keep the
-    generators supported there."""
+    generators supported there, a subset of a minimal generating set less
+    columns that are 0 on all of it, so minimal as it comes."""
     qmask = _ideal_mask(data.poset, ideal_labels)
-    keep = [e for i, e in enumerate(data.poset.elements) if not qmask >> i & 1]
-    return HodgeData(data.poset.restrict(keep), _restrict_ideal(data.sigma, keep))
-
-
-def _restrict_ideal(ideal: MonomialIdeal, keep: Sequence[str]) -> MonomialIdeal:
-    """The generators that use only the variables in keep, restricted to
-    them, as an ideal on keep (in that order)."""
-    idx = [ideal.variables.index(v) for v in keep]
+    idx = [i for i in range(len(data.poset.elements)) if not qmask >> i & 1]
+    keep = tuple(data.poset.elements[i] for i in idx)
     gens = [
         tuple(g[i] for i in idx)
-        for g in ideal.generators
+        for g in data.sigma.generators
         if sum(g[i] for i in idx) == sum(g)  # exponents are nonnegative
     ]
-    return ideal_from_generators(tuple(keep), gens)
+    return HodgeData(data.poset.restrict(keep), MonomialIdeal._trusted(keep, gens))
 
 
 def _core_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The ideal restricted to the variables its generators use."""
-    used = [v for i, v in enumerate(ideal.variables) if any(g[i] for g in ideal.generators)]
-    return _restrict_ideal(ideal, used)
+    """The ideal restricted to the variables its generators use; it drops
+    only columns that are 0 in every generator."""
+    gens = ideal.generators
+    used = [i for i, col in enumerate(zip(*gens)) if any(col)]
+    return MonomialIdeal._trusted(tuple(ideal.variables[i] for i in used), [tuple(g[i] for i in used) for g in gens])
 
 
 # ----------------------------------------------------------------------

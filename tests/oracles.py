@@ -9,9 +9,11 @@ the public labelled functions, the labelled sweep, which enumerates pairs
 naively but checks them with the library's pair report, and the depth of a
 monomial quotient by polarization, which reads one complex through the
 public depth_stanley_reisner where the library walks Takayama's complexes,
-and the tuple walk of Takayama's box, which takes each leaf's minimal
-transversals from the library (they are checked against subset enumeration
-on their own).
+the dimension of a monomial quotient by the radical's Stanley-Reisner
+complex, built from the public functions where the library reads the
+generator supports, and the tuple walk of Takayama's box, which takes each
+leaf's minimal transversals from the library (they are checked against
+subset enumeration on their own).
 """
 
 from __future__ import annotations
@@ -338,6 +340,15 @@ def depth_via_polarization(ideal, field) -> int:
     polarized, aux = polarize(ideal)
     k = stanley_reisner_complex(polarized)
     return (0 if k.facets == (0,) else depth_stanley_reisner(k, field)) - aux
+
+
+def dim_via_radical(ideal) -> int:
+    """Krull dimension of S/I by the route the support count replaces: the
+    Stanley-Reisner complex of the radical, every minimal transversal of its
+    generators listed, and the largest facet read off."""
+    from srposet import krull_dim_stanley_reisner, radical_monomial, stanley_reisner_complex
+
+    return krull_dim_stanley_reisner(stanley_reisner_complex(radical_monomial(ideal)))
 
 
 def takayama_complexes_naive(gens) -> tuple[tuple[int, ...], ...]:

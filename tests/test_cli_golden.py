@@ -86,6 +86,9 @@ def _corpus() -> list[dict]:
 
     for n in (3, 4, 5):
         add(f"detsym-{n}", ["detsym", "--n", str(n)])
+    for n in (6, 7):
+        add(f"detsym-{n}", ["detsym", "--n", str(n)])
+        add(f"detsym-{n}-json", ["detsym", "--n", str(n), "--json"])
     for n in (0, 4, 5):
         add(f"sweep-{n}", ["sweep", "--max-elements", str(n)])
 

@@ -40,8 +40,9 @@ from srposet.monomial import (
     _minimal_transversals,
     _takayama_complexes,
 )
+from srposet.detsym import build_minor_hodge_data, omega_ideal
 
-from oracles import depth_via_polarization, takayama_complexes_naive
+from oracles import depth_via_polarization, dim_via_radical, takayama_complexes_naive
 from test_engine_reductions import naive_depth
 
 
@@ -375,6 +376,49 @@ class TestDimDepth:
         polarized, aux = polarize(ideal)
         k = stanley_reisner_complex(polarized)
         assert dim_monomial_quotient(ideal) == krull_dim_stanley_reisner(k) - aux
+
+
+class TestDimRoutes:
+    """dim_monomial_quotient, read off the generator supports, against the
+    radical's Stanley-Reisner complex of tests/oracles.py."""
+
+    def test_seeded_ideals(self):
+        rng = random.Random(30)
+        seen = dict.fromkeys(["zero", "unused", "powers", "degree one", "mixed", "forced"], 0)
+        for _ in range(600):
+            n = rng.randint(1, 7)
+            gens = []
+            for _ in range(rng.choice([0, 1, 2, 4, 6, 8])):
+                g = [0] * n
+                for _ in range(rng.choice([1, 1, 2, 2, 3, 4])):
+                    g[rng.randrange(n)] += 1
+                gens.append(tuple(g))
+            ideal = ideal_from_generators([f"x{i}" for i in range(n)], gens)
+            got = dim_monomial_quotient(ideal)
+            assert got == dim_via_radical(ideal), ideal
+            supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.generators]
+            degrees = {sum(g) for g in ideal.generators}
+            seen["zero"] += ideal.is_zero()
+            seen["unused"] += len({i for g in ideal.generators for i, e in enumerate(g) if e}) < n
+            seen["powers"] += not ideal.is_squarefree()
+            seen["degree one"] += 1 in degrees
+            seen["mixed"] += len(degrees) > 1
+            seen["forced"] += any(s.bit_count() == 1 for s in supports) and got < n - 1
+        assert min(seen.values()) >= 80, seen
+
+    def test_section3_ideals_and_cores(self):
+        for n in range(3, 8):
+            ideal = a_dis_ideal_t2(n)
+            core = _core_ideal(ideal)
+            assert dim_monomial_quotient(ideal) == dim_via_radical(ideal) == n
+            assert dim_monomial_quotient(core) == dim_via_radical(core) == n - 2
+
+    def test_t3_minor_quotient(self):
+        data = build_minor_hodge_data(5)
+        sigma = hodge_quotient(data, omega_ideal(data, 3)).sigma
+        for ideal in (sigma, _core_ideal(sigma)):
+            assert dim_monomial_quotient(ideal) == dim_via_radical(ideal)
+        assert dim_monomial_quotient(sigma) == 9
 
 
 FIELDS3 = (QQ, GF2, FieldSpec(3))

@@ -1,11 +1,11 @@
 """The trust boundary: what the engine builds without validation would pass
 the public validators.
 
-Poset._trusted and SimplicialComplex._trusted skip the checks of __init__.
-Here they are wrapped so that every result they give is rebuilt through the
-public constructor, which must accept it and give an equal object; the
-functions that derive objects inside the engine are then run on exhaustive
-and seeded inputs.
+Poset._trusted, SimplicialComplex._trusted and MonomialIdeal._trusted skip
+the checks of __init__.  Here they are wrapped so that every result they give
+is rebuilt through the public constructor, which must accept it and give an
+equal object, with the same hash and repr; the functions that derive objects
+inside the engine are then run on exhaustive and seeded inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from srposet import (
     GF2,
+    MonomialIdeal,
     NEG_INF,
     POS_INF,
     QQ,
@@ -27,18 +28,24 @@ from srposet import (
     complex_from_facets,
     enumerate_posets,
     euler_condition_interval,
+    hodge_quotient,
     ideal_from_generators,
     invariants,
     is_cohen_macaulay_poset,
     link,
+    monomial_ideal_from_json,
+    monomial_ideal_to_json,
     open_interval,
     opposite,
     order_complex,
+    polarize,
     random_poset,
     random_poset_ideal,
     stanley_reisner_complex,
     uplus,
 )
+from srposet.detsym import a_dis_ideal_t2, build_minor_hodge_data, omega_ideal
+from srposet.monomial import HodgeData, _core_ideal
 from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes
 from srposet.rees import _rees_facts
 from srposet.simplicial import SimplicialComplex
@@ -50,14 +57,16 @@ from oracles import brute_chains, brute_euler_condition_interval, brute_faces
 def built(monkeypatch):
     """Every object the trusted constructors give, each checked against the
     public constructor; keyed by class."""
-    seen = {Poset: [], SimplicialComplex: []}
+    seen = {Poset: [], SimplicialComplex: [], MonomialIdeal: []}
     for cls in seen:
         trusted = cls._trusted.__func__
 
         def checked(c, *fields, _trusted=trusted):
             obj = _trusted(c, *fields)
-            assert all(type(f) is tuple for f in fields)
-            assert c(*fields) == obj
+            kept = [getattr(obj, f) for f in c._fields]
+            assert all(type(f) is tuple for f in kept)
+            rebuilt = c(*kept)
+            assert rebuilt == obj and hash(rebuilt) == hash(obj) and repr(rebuilt) == repr(obj)
             seen[c].append(obj)
             return obj
 
@@ -177,6 +186,59 @@ def test_stanley_reisner_complexes(built):
         ideal = ideal_from_generators([f"x{i}" for i in range(n)], [g for g in gens if any(g)])
         stanley_reisner_complex.__wrapped__(ideal)  # past the cache
     assert len(built[SimplicialComplex]) == 300
+
+
+def seeded_ideals(seed, count):
+    """Ideals on one to six variables: powers, mixed degrees, unused
+    variables and the zero ideal among them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        gens = [
+            tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n)) for _ in range(rng.randint(0, 6))
+        ]
+        yield ideal_from_generators([f"x{i}" for i in range(n)], [g for g in gens if any(g)])
+
+
+def test_polarized_and_core_ideals(built):
+    ideals = [*seeded_ideals(108, 300), *(a_dis_ideal_t2(n) for n in range(3, 7))]
+    for ideal in ideals:
+        polarize(ideal)
+        _core_ideal(ideal)
+    assert len(built[MonomialIdeal]) == 2 * len(ideals)
+
+
+def test_hodge_quotient_ideals(built):
+    for n in (3, 4):
+        data = build_minor_hodge_data(n)
+        for t in range(1, n + 1):
+            hodge_quotient(data, omega_ideal(data, t))
+    for rng, p in seeded_posets(109, 60, (3, 6)):
+        gens = [tuple(rng.choice([0, 0, 1, 2]) for _ in p.elements) for _ in range(rng.randint(0, 6))]
+        sigma = ideal_from_generators(p.elements, [g for g in gens if any(g)])
+        for _ in range(3):
+            hodge_quotient(HodgeData(p, sigma), random_poset_ideal(rng, p))
+    assert len(built[MonomialIdeal]) == 7 + 180
+
+
+def test_input_never_reaches_the_trusted_ideal(monkeypatch):
+    # ideals read from JSON, strings or generator lists are validated:
+    # with the trusted constructor made to fail, they still build, and bad
+    # exponents still raise
+    def refuse(cls, *fields):
+        raise AssertionError("input reached MonomialIdeal._trusted")
+
+    ideals = list(seeded_ideals(110, 100))
+    monkeypatch.setattr(MonomialIdeal, "_trusted", classmethod(refuse))
+    for ideal in ideals:
+        assert monomial_ideal_from_json(monomial_ideal_to_json(ideal)) == ideal
+        assert MonomialIdeal(ideal.variables, ideal.generators) == ideal
+    for doc in ('{"variables": ["x"], "generators": [{"x": -1}]}',
+                '{"variables": ["x"], "generators": [{"x": 1.0}]}'):
+        with pytest.raises(ValueError):
+            monomial_ideal_from_json(doc)
+    with pytest.raises(ValueError, match="^bad exponent vector$"):
+        MonomialIdeal(["x", "y"], [(1, 0), (1.0, 0)])
 
 
 class TestIntervalCondition:
