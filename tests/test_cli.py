@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from srposet import GF2, QQ, BettiVector, cli, invariants, poset_from_cover_relations, poset_to_json, rees
+from srposet import GF2, QQ, cli, invariants, poset_from_cover_relations, poset_to_json, rees
 from srposet.cli import main
 from srposet.invariants import _interval_pass, _link_cores
-from srposet.poset import _canonical
+from srposet.poset import Poset, _canonical
 from srposet.simplicial import _betti_masks, _core_key
 
 from oracles import cross_polytope_boundary, determinantal_poset, labelled_sweep
@@ -432,6 +432,12 @@ class TestSweepFailures:
         assert out.startswith(f"FAIL {kind}: ")
         assert len(out.splitlines()) == 1
 
+    @staticmethod
+    def patch_facts(monkeypatch, change):
+        """The sweep reads change(facts) for the facts of each pair."""
+        real = cli._rees_facts
+        monkeypatch.setattr(cli, "_rees_facts", lambda p, qmask: change(real(p, qmask)))
+
     def test_numerator_routes_disagree(self, monkeypatch, capsys):
         real = rees._lower_set_numerator
         monkeypatch.setattr(
@@ -440,36 +446,40 @@ class TestSweepFailures:
         self.sweep_fails(capsys, "numerator-routes-disagree")
 
     def test_euler_conditions_disagree(self, monkeypatch, capsys):
-        real = cli._rees_facts
-
-        def flipped(p, qmask):
-            facts = real(p, qmask)
-            return facts._replace(cond_interval=not facts.cond_interval)
-
-        monkeypatch.setattr(cli, "_rees_facts", flipped)
+        self.patch_facts(monkeypatch, lambda facts: facts._replace(cond_interval=not facts.cond_interval))
         self.sweep_fails(capsys, "euler-conditions-disagree")
 
     def test_deleted_star_not_acyclic(self, monkeypatch, capsys):
-        # an acyclic complex no longer matches the zero vector it is compared with
-        monkeypatch.setattr(rees, "BettiVector", lambda values: BettiVector({-1: 1}))
+        # a new maximal c* above the least element m* only: not a beat point,
+        # so both peels fail; P (+) Q is still a cone on m*, but c* is a
+        # component of its own once m* is deleted
+        def above_least(facts):
+            up = facts.uplus
+            least = up.minimal_idx()
+            if len(least) != 1:
+                return facts
+            rows = list(up.lt) + [0]
+            rows[least[0]] |= 1 << len(up)
+            return facts._replace(uplus=Poset(up.elements + ("c*",), rows))
+
+        self.patch_facts(monkeypatch, above_least)
         self.sweep_fails(capsys, "deleted-star-not-acyclic")
 
     def test_a_invariant_vs_euler(self, monkeypatch, capsys):
         # both Euler flags flipped still agree with each other, not with the numerator
-        real = cli._rees_facts
-
-        def flipped(p, qmask):
-            facts = real(p, qmask)
-            return facts._replace(cond_q=not facts.cond_q, cond_interval=not facts.cond_interval)
-
-        monkeypatch.setattr(cli, "_rees_facts", flipped)
+        self.patch_facts(
+            monkeypatch, lambda facts: facts._replace(cond_q=not facts.cond_q, cond_interval=not facts.cond_interval)
+        )
         self.sweep_fails(capsys, "a-invariant-vs-euler")
 
     def test_betti_not_preserved(self, monkeypatch, capsys):
-        real = cli._field_data
-        monkeypatch.setattr(
-            cli, "_field_data", lambda p, fields: [(f, BettiVector({-1: 7}), cm) for f, _, cm in real(p, fields)]
-        )
+        # an isolated z*: not a beat point, so the peel fails, and the
+        # order complex of P (+) Q gains a component
+        def isolated_star(facts):
+            up = facts.uplus
+            return facts._replace(uplus=Poset(up.elements + ("z*",), up.lt + (0,)))
+
+        self.patch_facts(monkeypatch, isolated_star)
         self.sweep_fails(capsys, "betti-not-preserved")
 
     def test_interval_condition_but_not_cm(self, monkeypatch, capsys):

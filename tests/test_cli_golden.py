@@ -89,7 +89,7 @@ def _corpus() -> list[dict]:
     for n in (6, 7):
         add(f"detsym-{n}", ["detsym", "--n", str(n)])
         add(f"detsym-{n}-json", ["detsym", "--n", str(n), "--json"])
-    for n in (0, 4, 5):
+    for n in (0, 4, 5, 6):
         add(f"sweep-{n}", ["sweep", "--max-elements", str(n)])
 
     cycle = json.dumps({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"], ["c", "a"]]})

@@ -6,6 +6,7 @@ import pytest
 from srposet import (
     GF2,
     QQ,
+    BettiVector,
     DegenerateQWarning,
     EmptyQError,
     FieldSpec,
@@ -24,11 +25,12 @@ from srposet import (
     poset_from_cover_relations,
     random_poset,
     random_poset_ideal,
+    reduced_betti_numbers,
     rees_cm_report,
     uplus,
 )
 from srposet import rees
-from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes
+from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes, _uplus_mask
 from srposet.rees import _all_chains, _cm_reports, _lower_set_numerator, _numerator, _polynomial, _rees_facts
 
 from oracles import brute_chains, direct_numerator
@@ -188,7 +190,11 @@ class TestReport:
         monkeypatch.setattr(rees, "order_complex", lambda p: sizes.append(len(p)) or real(p))
         diamond = poset_from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
         rees_cm_report(diamond, ["a"], QQ)
-        assert sizes.count(5) == 1  # P (+) Q
+        assert sizes.count(5) == 0  # Q* peels off as beat points: P (+) Q is never built
+        # when both peels fail, Lemmas 6.5 and 6.6 read one order complex of P (+) Q
+        monkeypatch.setattr(rees, "_peels", lambda up, n, mask: False)
+        rees_cm_report(diamond, ["a"], QQ)
+        assert sizes.count(5) == 1
         # a degenerate report reads no Betti numbers of P (+) Q, so builds none
         sizes.clear()
         with warnings.catch_warnings():
@@ -196,6 +202,57 @@ class TestReport:
             rees_cm_report(diamond, [], QQ)
             rees_cm_report(diamond, "abcd", QQ)
         assert sizes == [4, 4]  # P, once per report
+
+
+class TestBeatPointPeel:
+    """_peels deletes Q* from P (+) Q as beat points; the order complexes of
+    P (+) Q and of P (+) Q - m* are the oracle."""
+
+    def test_every_pair_class_up_to_six_elements(self):
+        fields = [QQ, GF2]
+        classes = stars = 0
+        for n, level in zip(range(7), _poset_classes()):
+            labels = tuple(chr(ord("a") + i) for i in range(n))
+            for lt, _, gens in level:
+                p = Poset(labels, lt)
+                betti_p = [reduced_betti_numbers(order_complex(p), f) for f in fields]
+                unique_min = len(p.minimal_idx()) == 1
+                for qmask in _ideal_orbits(lt, gens):
+                    up = _uplus_mask(p, qmask)
+                    full = (1 << len(up)) - 1
+                    assert rees._peels(up, n, full), (p, qmask)
+                    assert [reduced_betti_numbers(order_complex(up), f) for f in fields] == betti_p
+                    if unique_min and qmask:
+                        (least,) = up.minimal_idx()
+                        assert rees._peels(up, n, full & ~(1 << least)), (p, qmask)
+                        deleted = order_complex(up._restrict_idx([i for i in range(len(up)) if i != least]))
+                        assert all(reduced_betti_numbers(deleted, f) == BettiVector({}) for f in fields)
+                        stars += 1
+                    classes += 1
+        assert (classes, stars) == (4870, 708)
+
+    def test_peel_keeps_what_is_not_a_beat_point(self):
+        # c* < a and c* < b: the path a - c* - b is contractible, the antichain
+        # {a, b} is not, so deleting c* would change the homology
+        up = Poset(["a", "b", "c*"], [0, 0, 0b011])
+        assert not rees._peels(up, 2, 0b111)
+        betti = [reduced_betti_numbers(order_complex(x), QQ) for x in (up, antichain("a", "b"))]
+        assert betti[0] != betti[1]
+        # one upper cover: c* < a only
+        assert rees._peels(Poset(["a", "b", "c*"], [0, 0, 0b001]), 2, 0b111)
+        # a maximal starred element has no upper cover
+        assert not rees._peels(Poset(["a", "z*"], [0, 0]), 1, 0b11)
+        # only starred elements are deleted: with d above a and b, deleting b,
+        # a beat point of P, would leave c* the one upper cover a
+        assert not rees._peels(Poset(["a", "b", "d", "c*"], [0b100, 0b100, 0, 0b111]), 3, 0b1111)
+
+    def test_passes_repeat_while_they_delete(self):
+        # a* < b*, indexed upwards: the first pass (highest index first)
+        # deletes b* (upper cover b) and then a* (upper cover a); indexed the
+        # other way round, a* waits for a second pass
+        assert rees._peels(_uplus_mask(chain("a", "b"), 0b11), 2, 0b1111)
+        flipped = Poset(["a", "b", "b*", "a*"], [0b10, 0, 0b10, 0b111])
+        assert rees._peels(flipped, 2, 0b1111)
 
 
 class TestRandomizedEquivalences:
