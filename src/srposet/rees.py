@@ -13,7 +13,7 @@ any field (the Q condition through euler_condition_Q, the one Q check of a
 sweep pair); _violations lists the properties the pair breaks.  It asks
 the interval test (is_cohen_macaulay_poset) whether P and P (+) Q are
 Cohen-Macaulay, and peels Q* off P (+) Q as beat points (_peels) for
-Lemmas 6.5/6.6; Delta(P (+) Q) is built only if a peel fails.  Every chi~
+Lemmas 6.5/6.6; it builds no order complex and reads no homology.  Every chi~
 sums one sign vector per poset (poset._chain_signs).  Only the two
 numerators list all chains (_all_chains, the faces of the order complex).
 Inside, a numerator is a dict of chain coefficients: for each chain b
@@ -36,15 +36,7 @@ from functools import lru_cache
 from .errors import DegenerateQWarning, EmptyQError
 from .invariants import is_cohen_macaulay_poset
 from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
-from .simplicial import (
-    BettiVector,
-    FieldSpec,
-    SimplicialComplex,
-    _Value,
-    _bits,
-    _faces_by_card,
-    reduced_betti_numbers,
-)
+from .simplicial import FieldSpec, _Value, _bits, _faces_by_card
 
 
 class IntPolynomial(_Value):
@@ -255,13 +247,12 @@ def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[di
         "cond_interval": facts.cond_interval,
         "degenerate": degenerate,
         "consistent": None if degenerate else not failed & {None, f.characteristic},
-    } for f, _, cm_p in per_field]
+    } for f, cm_p in per_field]
 
 
-def _field_data(p: Poset, fields: list[FieldSpec]) -> list[tuple[FieldSpec, BettiVector, bool]]:
-    """(field, Betti numbers of the order complex, Cohen-Macaulayness) of P."""
-    delta = order_complex(p)
-    return [(f, reduced_betti_numbers(delta, f), is_cohen_macaulay_poset(p, f)) for f in fields]
+def _field_data(p: Poset, fields: list[FieldSpec]) -> list[tuple[FieldSpec, bool]]:
+    """(field, Cohen-Macaulayness of P) in each field."""
+    return [(f, is_cohen_macaulay_poset(p, f)) for f in fields]
 
 
 def _peels(up: Poset, n: int, mask: int) -> bool:
@@ -292,13 +283,13 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
     as (kind, characteristic or None if field-independent); next() gives
     the first.  per_field is _field_data(P, fields).  Checked: the Euler
     conditions, both numerators and a-invariant negativity agree; Lemmas
-    6.5/6.6 (Betti numbers kept, deleted star acyclic); and, for P
-    Cohen-Macaulay, Theorem 6.3 and the a-invariant biconditional.
+    6.5/6.6; and, for P Cohen-Macaulay, Theorem 6.3 and the a-invariant
+    biconditional.
 
     Each maximal y* of Q* has the one upper cover y, so Q* peels off as
     beat points (_peels): Delta(P (+) Q) retracts onto Delta(P), and, for P
-    with unique minimum m, P (+) Q - m* onto P, a cone on m.  Only a failed
-    peel builds its complex and reads its Betti numbers.
+    with unique minimum m, P (+) Q - m* onto P, a cone on m.  A peel
+    certifies its lemma in every field; a failed peel is the violation.
     """
     qmask = facts.qmask
     if facts.cond_q != facts.cond_interval:
@@ -312,20 +303,13 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
     unique_min = len(p.minimal_idx()) == 1
     up, n = facts.uplus, len(p)
     full = (1 << len(up)) - 1
-    delta_up = None if _peels(up, n, full) else order_complex(up)
-    delta_red = None
-    if unique_min and qmask:
-        # the starred minimum is least in P (+) Q, so in every facet: a cone point
-        star = 1 << up.minimal_idx()[0]
-        if not _peels(up, n, full & ~star):
-            delta = order_complex(up) if delta_up is None else delta_up
-            delta_red = SimplicialComplex._trusted(delta.vertices, tuple(f & ~star for f in delta.facets))
-    for f, betti_p, cm_p in per_field:
+    if not _peels(up, n, full):
+        yield "uplus-does-not-peel", None
+    # the starred minimum is least in P (+) Q
+    if unique_min and qmask and not _peels(up, n, full & ~(1 << up.minimal_idx()[0])):
+        yield "deleted-star-does-not-peel", None
+    for f, cm_p in per_field:
         char = f.characteristic
-        if delta_up is not None and reduced_betti_numbers(delta_up, f) != betti_p:
-            yield "betti-not-preserved", char
-        if delta_red is not None and reduced_betti_numbers(delta_red, f) != BettiVector({}):
-            yield "deleted-star-not-acyclic", char
         cm_up = cm_p and is_cohen_macaulay_poset(facts.uplus, f)
         if cm_p and facts.cond_interval and not cm_up:
             yield "interval-condition-but-not-cm", char

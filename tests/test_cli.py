@@ -450,9 +450,17 @@ class TestSweepFailures:
         self.sweep_fails(capsys, "euler-conditions-disagree")
 
     def test_deleted_star_not_acyclic(self, monkeypatch, capsys):
-        # a new maximal c* above the least element m* only: not a beat point,
-        # so both peels fail; P (+) Q is still a cone on m*, but c* is a
-        # component of its own once m* is deleted
+        # a deleted star that is not acyclic does not peel: stand in for one by
+        # failing only the peel of P (+) Q - m*, the one mask short of all of P (+) Q
+        real = rees._peels
+        monkeypatch.setattr(
+            rees, "_peels", lambda up, n, mask: mask == (1 << len(up)) - 1 and real(up, n, mask)
+        )
+        self.sweep_fails(capsys, "deleted-star-does-not-peel")
+
+    def test_cone_that_does_not_peel(self, monkeypatch, capsys):
+        # a new maximal c* above the least element m* only: P (+) Q is still a
+        # cone on m*, so its Betti numbers are P's, but c* is not a beat point
         def above_least(facts):
             up = facts.uplus
             least = up.minimal_idx()
@@ -463,7 +471,7 @@ class TestSweepFailures:
             return facts._replace(uplus=Poset(up.elements + ("c*",), rows))
 
         self.patch_facts(monkeypatch, above_least)
-        self.sweep_fails(capsys, "deleted-star-not-acyclic")
+        self.sweep_fails(capsys, "uplus-does-not-peel")
 
     def test_a_invariant_vs_euler(self, monkeypatch, capsys):
         # both Euler flags flipped still agree with each other, not with the numerator
@@ -473,14 +481,14 @@ class TestSweepFailures:
         self.sweep_fails(capsys, "a-invariant-vs-euler")
 
     def test_betti_not_preserved(self, monkeypatch, capsys):
-        # an isolated z*: not a beat point, so the peel fails, and the
-        # order complex of P (+) Q gains a component
+        # an isolated z*: the order complex of P (+) Q gains a component, and
+        # z* is not a beat point, so the peel fails
         def isolated_star(facts):
             up = facts.uplus
             return facts._replace(uplus=Poset(up.elements + ("z*",), up.lt + (0,)))
 
         self.patch_facts(monkeypatch, isolated_star)
-        self.sweep_fails(capsys, "betti-not-preserved")
+        self.sweep_fails(capsys, "uplus-does-not-peel")
 
     def test_interval_condition_but_not_cm(self, monkeypatch, capsys):
         # P itself keeps its Cohen-Macaulayness; P (+) Q with Q nonempty loses it
@@ -492,8 +500,7 @@ class TestSweepFailures:
         self.sweep_fails(capsys, "interval-condition-but-not-cm")
 
     def test_unique_min_but_not_cm(self, monkeypatch, capsys):
-        real = cli._field_data
-        monkeypatch.setattr(cli, "_field_data", lambda p, fields: [(f, b, True) for f, b, _ in real(p, fields)])
+        monkeypatch.setattr(cli, "_field_data", lambda p, fields: [(f, True) for f in fields])
         monkeypatch.setattr(rees, "is_cohen_macaulay_poset", lambda p, f: False)
         self.sweep_fails(capsys, "unique-min-but-not-cm")
 

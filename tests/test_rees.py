@@ -189,19 +189,18 @@ class TestReport:
         real = rees.order_complex
         monkeypatch.setattr(rees, "order_complex", lambda p: sizes.append(len(p)) or real(p))
         diamond = poset_from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-        rees_cm_report(diamond, ["a"], QQ)
-        assert sizes.count(5) == 0  # Q* peels off as beat points: P (+) Q is never built
-        # when both peels fail, Lemmas 6.5 and 6.6 read one order complex of P (+) Q
+        facts = _rees_facts(diamond, 0b1)
+        assert all(r["consistent"] for r in _cm_reports(diamond, facts, [QQ, GF2]))
+        # Lemmas 6.5 and 6.6 are checked by the peel alone: when it fails, the
+        # pair is inconsistent in every field, and P (+) Q is still never built
         monkeypatch.setattr(rees, "_peels", lambda up, n, mask: False)
-        rees_cm_report(diamond, ["a"], QQ)
-        assert sizes.count(5) == 1
-        # a degenerate report reads no Betti numbers of P (+) Q, so builds none
-        sizes.clear()
+        assert [r["consistent"] for r in _cm_reports(diamond, facts, [QQ, GF2])] == [False, False]
+        assert rees_cm_report(diamond, ["a"], QQ)["consistent"] is False
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateQWarning)
             rees_cm_report(diamond, [], QQ)
             rees_cm_report(diamond, "abcd", QQ)
-        assert sizes == [4, 4]  # P, once per report
+        assert sizes.count(5) == 0
 
 
 class TestBeatPointPeel:

@@ -10,10 +10,7 @@ inside the engine are then run on exhaustive and seeded inputs.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import random
-from itertools import islice
 
 import pytest
 
@@ -24,13 +21,11 @@ from srposet import (
     POS_INF,
     QQ,
     all_poset_ideals,
-    cli,
     complex_from_facets,
     enumerate_posets,
     euler_condition_interval,
     hodge_quotient,
     ideal_from_generators,
-    invariants,
     is_cohen_macaulay_poset,
     link,
     monomial_ideal_from_json,
@@ -41,13 +36,12 @@ from srposet import (
     polarize,
     random_poset,
     random_poset_ideal,
-    rees,
     stanley_reisner_complex,
     uplus,
 )
 from srposet.detsym import a_dis_ideal_t2, build_minor_hodge_data, omega_ideal
 from srposet.monomial import HodgeData, _core_ideal
-from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes
+from srposet.poset import Poset, _ideal_mask
 from srposet.rees import _rees_facts
 from srposet.simplicial import SimplicialComplex
 
@@ -82,13 +76,6 @@ def seeded_posets(seed, count, sizes=(5, 8)):
         labels = [f"e{i}" for i in range(n)]
         rng.shuffle(labels)
         yield rng, random_poset(rng, labels, edge_prob=rng.choice([0.2, 0.35, 0.6]))
-
-
-def _union(facets):
-    u = 0
-    for f in facets:
-        u |= f
-    return u
 
 
 def test_enumerated_posets(built):
@@ -143,42 +130,6 @@ def test_interval_complexes(built):
         for field in (QQ, GF2):
             is_cohen_macaulay_poset(p, field)
     assert built[SimplicialComplex]
-
-
-def test_sweep_deleted_star_complexes(built, monkeypatch):
-    # Q* always peels off as beat points, so the deleted star is built only
-    # when the peel fails: force that
-    monkeypatch.setattr(rees, "_peels", lambda up, n, mask: False)
-    # the interval complexes of P (+) Q, built for its Cohen-Macaulay test,
-    # carry starred labels too: record them, to leave them out below
-    intervals = []
-    real = invariants._interval_record
-    monkeypatch.setattr(
-        invariants, "_interval_record", lambda *args: intervals.append(real(*args)) or intervals[-1]
-    )
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["sweep", "--max-elements", "4", "--char", "0"]) == 0
-    assert out.getvalue().startswith("sweep ok: 1789 ")
-    from_intervals = {id(rec[2]) for rec in intervals if rec}
-    # the order complex of P (+) Q covers every vertex; the one with the
-    # starred minimum cleared misses it
-    deleted = [
-        k for k in built[SimplicialComplex]
-        if any(v.endswith("*") for v in k.vertices)
-        and sum(1 << i for i in range(len(k.vertices))) & ~_union(k.facets)
-        and id(k) not in from_intervals
-    ]
-    # one per class of pairs (P, Q) with a unique minimum in P and Q nonempty
-    classes = [
-        q
-        for level in islice(_poset_classes(), 5)
-        for lt, _, gens in level
-        if len(lt) - _union(lt).bit_count() == 1  # elements above nothing
-        for q in _ideal_orbits(lt, gens)
-        if q
-    ]
-    assert len(deleted) == len(classes) == 31
 
 
 def test_stanley_reisner_complexes(built):
