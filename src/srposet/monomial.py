@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress, repeat
+from operator import or_
 
 from .errors import NotSquarefreeError, UnitIdealError
 from .poset import Poset, _ideal_mask
@@ -271,7 +272,10 @@ def dim_monomial_quotient(ideal: MonomialIdeal) -> int:
     gens = ideal.generators
     n = len(ideal.variables)
     cols = [sum(1 << k for k in compress(range(len(gens)), col)) for col in zip(*gens)] or [0] * n
-    forced, rest = _forced_split(gens, (0,) * n, cols)
+    ones = twos = 0  # the generators with at least one, two support vertices
+    for col in cols:
+        ones, twos = ones | col, twos | ones & col
+    forced, rest = _forced_split(cols, twos)
     return n - forced.bit_count() - min(t.bit_count() for t in _minimal_transversals(rest))
 
 
@@ -319,40 +323,41 @@ def _takayama_complexes(
 
     The box is walked depth first, one coordinate at a time, b_j = 0, 1,
     ... pushed in turn, so the largest is popped first.  Generators are bits
-    k of one int: bit k of le[j][e] says the k-th generator has exponent at
-    most e at j, of gt[j][e] that it exceeds e there, and of tail0[j] that
-    it is 0 after j.  A partial b (the later coordinates 0) carries the
-    generators that divide x^b on its coordinates, and a branch is cut as
-    soon as one of them lies in tail0[j]: it then divides x^b, and does so
-    for every larger b_j.
-
-    At a leaf no generator divides x^b.  The nonface of the k-th generator
-    is {i : u_i > b_i}, the i whose column gt[i][b_i] holds bit k; the
+    k of one int, and one pass over their nonzero entries builds the
+    columns: bit k of gt[j][e] says the k-th generator exceeds e at j (a
+    suffix OR over the exponents), so j is in its nonface {i : u_i > b_i}
+    when b_j = e, and of tail0[j] that it is 0 after j (a prefix OR).  A
+    partial b (the later coordinates 0) carries its columns, and ones and
+    twos, the generators with at least one and two nonface vertices so far,
+    updated by one column per push.  The
+    generators with none divide x^b on its coordinates, and a branch is cut
+    as soon as one of them lies in tail0[j]: it then divides x^b, and does
+    so for every larger b_j.  At a leaf no generator divides x^b, and the
     minimal transversals are taken only over the nonfaces _forced_split
     leaves.  On the symmetric t-minors almost none are left."""
     n = len(gens[0]) if gens else 0
     full = (1 << n) - 1
-    everyone = (1 << len(gens)) - 1
-    rho = [max(g[j] for g in gens) for j in range(n)]
-    le = [
-        [sum(1 << k for k, g in enumerate(gens) if g[j] <= e) for e in range(rho[j])]
-        for j in range(n)
-    ]
-    gt = [[everyone & ~m for m in row] for row in le]
-    tail0 = [sum(1 << k for k, g in enumerate(gens) if not any(g[j + 1:])) for j in range(n)]
+    at: list[dict[int, int]] = [{} for _ in range(n)]  # at[j][u]: the generators with exponent u > 0 at j
+    last = [0] * n  # last[j]: the generators whose last nonzero coordinate is j
+    for k, g in enumerate(gens):
+        for j in compress(range(n), g):
+            at[j][g[j]] = at[j].get(g[j], 0) | 1 << k
+        last[j] |= 1 << k  # j is left at g's last nonzero coordinate
+    gt = [list(accumulate(map(col.get, range(max(col), 0, -1), repeat(0)), or_))[::-1] for col in at]
+    tail0 = list(accumulate(last, or_))
     found: dict[tuple[int, ...], None] = {}
-    stack = [((), everyone)]
+    stack = [((), 0, 0)]  # the columns of a partial b, and its ones and twos
     while stack:
-        b, within = stack.pop()
-        j = len(b)
+        cols, ones, twos = stack.pop()
+        j = len(cols)
         if j < n:
-            for e, below in enumerate(le[j]):
-                nxt = within & below
-                if nxt & tail0[j]:
+            dividing = tail0[j] & ~ones
+            for col in gt[j]:
+                if dividing & ~col:
                     break  # x^b x_j^e is in I, and so is every larger power
-                stack.append(((*b, e), nxt))
+                stack.append(((*cols, col), ones | col, twos | ones & col))
             continue
-        forced, nonfaces = _forced_split(gens, b, [gt[i][e] for i, e in enumerate(b)])
+        forced, nonfaces = _forced_split(cols, twos)
         facets = tuple(sorted(full & ~(forced | t) for t in _minimal_transversals(nonfaces)))
         found[facets] = None
         if facets == (0,):
@@ -360,22 +365,26 @@ def _takayama_complexes(
     return tuple(found)
 
 
-def _forced_split(gens: Sequence[tuple[int, ...]], b: tuple[int, ...], cols: list[int]) -> tuple[int, list[int]]:
-    """The nonfaces {i : u_i > b_i} of the generators u, none empty, given
-    as columns (bit k of cols[i]: the k-th generator has i in its nonface),
-    split into the vertices that are a nonface on their own, which lie in
-    every transversal, and the nonfaces those vertices miss; only the
-    latter are built."""
-    ones = twos = 0  # the generators with at least one, two nonface vertices
-    for col in cols:
-        twos |= ones & col
-        ones |= col
+def _forced_split(cols: Sequence[int], twos: int) -> tuple[int, list[int]]:
+    """The nonfaces of the generators, none empty, given as columns (bit k
+    of cols[i]: the k-th generator has i in its nonface) with twos, the
+    generators whose nonface has two vertices or more, split into the
+    vertices that are a nonface on their own, which lie in every
+    transversal, and the nonfaces those vertices miss.  Only the latter are
+    built, from the columns cut down to their generators."""
     forced = hit = 0  # the one-vertex nonfaces, and the generators they hit
+    single = ~twos
     for i, col in enumerate(cols):
-        if col & ~twos:
+        if col & single:
             forced |= 1 << i
             hit |= col
-    return forced, [sum(1 << i for i, u in enumerate(gens[k]) if u > b[i]) for k in _bits(ones & ~hit)]
+    nonfaces: dict[int, int] = {}
+    rest = ~hit
+    for i, col in enumerate(cols):
+        if cut := col & rest:
+            for k in _bits(cut):
+                nonfaces[k] = nonfaces.get(k, 0) | 1 << i
+    return forced, list(nonfaces.values())
 
 
 # ----------------------------------------------------------------------
@@ -421,10 +430,13 @@ def hodge_quotient(data: HodgeData, ideal_labels: Iterable[str]) -> HodgeData:
 
 
 def _core_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The ideal restricted to the variables its generators use; it drops
-    only columns that are 0 in every generator."""
+    """The ideal restricted to the variables its generators use: the ideal
+    itself when it uses them all.  Dropping columns that are 0 in every
+    generator keeps the generators minimal, and sorted."""
     gens = ideal.generators
     used = [i for i, col in enumerate(zip(*gens)) if any(col)]
+    if len(used) == len(ideal.variables):
+        return ideal
     return MonomialIdeal._trusted(tuple(ideal.variables[i] for i in used), [tuple(g[i] for i in used) for g in gens])
 
 

@@ -535,6 +535,29 @@ class TestTakayamaWalk:
             assert got == complexes and got[-1] == (0,), len(gens)
         assert leaves == [3, 8, 21, 55, 144]
 
+    def test_symmetric_minor_cores(self, monkeypatch):
+        # the cores of the discrete algebras of the symmetric t-minors at
+        # (n, t) = (3, 3), (4, 3) and (4, 4), with exponents up to 2: each
+        # leaf takes the minimal transversals once, and never over a
+        # one-vertex nonface, which is forced
+        cores = []
+        for n, t in ((3, 3), (4, 3), (4, 4)):
+            data = build_minor_hodge_data(n)
+            cores.append(_core_ideal(hodge_quotient(data, omega_ideal(data, t)).sigma).generators)
+        want = [takayama_complexes_naive(gens) for gens in cores]
+        leaves = []
+
+        def counted(edges):
+            assert all(e.bit_count() > 1 for e in edges), edges
+            leaves[-1] += 1
+            return _minimal_transversals(edges)
+
+        monkeypatch.setattr(monomial, "_minimal_transversals", counted)
+        for gens, complexes in zip(cores, want):
+            leaves.append(0)
+            assert _takayama_complexes.__wrapped__(gens) == complexes, len(gens)
+        assert leaves == [16, 213, 800]
+
 
 class TestHodge:
     def test_core_empty_sigma(self):
