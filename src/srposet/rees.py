@@ -11,10 +11,12 @@ Public functions check Q at entry (poset._ideal_mask).  _rees_facts
 takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
 any field (the Q condition through euler_condition_Q, the one Q check of a
 sweep pair); _violations lists the properties the pair breaks.  It asks
-the interval test (is_cohen_macaulay_poset) whether P and P (+) Q are
-Cohen-Macaulay, and peels Q* off P (+) Q as beat points (_peels) for
-Lemmas 6.5/6.6; it builds no order complex and reads no homology.  Every chi~
-sums one sign vector per poset (poset._chain_signs).  Only the two
+the interval test (is_cohen_macaulay_poset) whether P is Cohen-Macaulay
+and, where it is, reads P (+) Q off P's entries of the intervals
+(-inf, b) (_uplus_cm), with no interval pass of P (+) Q.  For Lemmas
+6.5/6.6 it peels Q* off P (+) Q as beat points (_peels), which builds no
+order complex and reads no homology.  Every chi~ sums one sign vector
+per poset (poset._chain_signs).  Only the two
 numerators list all chains (_all_chains, the faces of the order complex).
 Inside, a numerator is a dict of chain coefficients: for each chain b
 outside Q, the nonzero coefficient of L^(Q u b) * prod(1 - L) over the rest
@@ -34,7 +36,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .errors import DegenerateQWarning, EmptyQError
-from .invariants import is_cohen_macaulay_poset
+from .invariants import _interval_pass, _intervals, _jmin, is_cohen_macaulay_poset
 from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
 from .simplicial import FieldSpec, _Value, _bits, _faces_by_card
 
@@ -90,8 +92,9 @@ def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
 
 
 # What the pairs of one poset P share, whatever Q: poset._chain_signs of P,
-# the mask of the x with chi~((-inf, x)) != 0, and chi~(P).
-_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi")
+# the mask of the x with chi~((-inf, x)) != 0, chi~(P), and whether P has
+# a unique minimal element.
+_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi unique_min")
 
 
 def _chi(signs: tuple[int, ...], mask: int) -> int:
@@ -105,7 +108,7 @@ def _poset_facts(p: Poset) -> _PosetFacts:
     cols = p.down_masks()
     signs = _chain_signs(cols)
     nonzero = sum(1 << x for x, down in enumerate(cols) if _chi(signs, down))
-    return _PosetFacts(signs, nonzero, sum(signs) - 1)
+    return _PosetFacts(signs, nonzero, sum(signs) - 1, sum(not down for down in cols) == 1)
 
 
 @lru_cache(maxsize=16)
@@ -278,13 +281,63 @@ def _peels(up: Poset, n: int, mask: int) -> bool:
     return True
 
 
+def _uplus_cm(p: Poset, facts: _ReesFacts, per_field) -> list[bool]:
+    """Cohen-Macaulayness of P (+) Q in each field of per_field
+    (_field_data(P, fields)), False wherever P is not Cohen-Macaulay; with
+    no interval pass of P (+) Q, and one look at P's pass for all fields.
+
+    Let P be Cohen-Macaulay.  The intervals (a, b) of P (+) Q with a in P
+    are P's, and (x*, y*), (-inf, y*) copy P's (x, y), (-inf, y).  The rest
+    have a in {-inf} u Q* and b in P u {+inf}.  A monotone map f of such an
+    interval I into itself with f <= id or f >= id makes I homotopy
+    equivalent to f(I) (Quillen, "Homotopy properties of the poset of
+    nontrivial p-subgroups of a group", Adv. Math. 28, 1978, 1.3):
+    - (x*, b), b not in Q: z* -> z leaves {z | x <= z < b}, a cone on x;
+    - (-inf, b), b in Q: z -> z* leaves {z* | z <= b}, a cone on b*;
+    - (-inf, b), b not in Q: z -> z* (z in Q) leaves a copy of P's (-inf, b).
+    (x*, b) with b in Q is the proper part of [x, b] x {0 < 1}, the
+    suspension of P's (x, b) (Walker, "Canonical homeomorphisms of
+    posets", Europ. J. Combin. 9, 1988), so it passes as P's does.  So
+    P (+) Q is Cohen-Macaulay iff each (-inf, b), b not in Q, whose entry in
+    P's pass is not acyclic (homology in its dimension d alone) has
+    dimension d in P (+) Q too.
+    """
+    cm = [cm_p for _, cm_p in per_field]
+    if not any(cm):
+        return cm
+    n = len(p)
+    # P's entries of (-inf, b), b in P u {+inf}, are its pass's first n + 1
+    # (None where acyclic in every field); regrow the pass if it was evicted
+    lower = _interval_pass(p)
+    if len(lower) <= n:
+        for _ in _intervals(p):
+            pass
+    up = facts.uplus
+    below = up.down_masks()
+    height = None  # height[x]: the most elements of a chain topped by x
+    for b in [n, *_bits(((1 << n) - 1) & ~facts.qmask)]:  # n stands for +inf
+        if lower[b] is None:
+            continue
+        _, _, k, d = lower[b]
+        if height is None:
+            height = [0] * len(up)
+            for x in sorted(range(len(up)), key=lambda x: below[x].bit_count()):
+                height[x] = 1 + max((height[z] for z in _bits(below[x])), default=0)
+        top = max(height, default=0) - 1 if b == n else height[b] - 2
+        if d != top:  # homology in degree d, below the top: it must vanish
+            cm = [c and _jmin(k, d, f) is None for c, (f, _) in zip(cm, per_field)]
+            if not any(cm):
+                return cm
+    return cm
+
+
 def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, int | None]]:
     """The properties the pair (P, Q) violates, lazily and in a fixed order,
     as (kind, characteristic or None if field-independent); next() gives
     the first.  per_field is _field_data(P, fields).  Checked: the Euler
     conditions, both numerators and a-invariant negativity agree; Lemmas
     6.5/6.6; and, for P Cohen-Macaulay, Theorem 6.3 and the a-invariant
-    biconditional.
+    biconditional, on P (+) Q's Cohen-Macaulayness from _uplus_cm.
 
     Each maximal y* of Q* has the one upper cover y, so Q* peels off as
     beat points (_peels): Delta(P (+) Q) retracts onto Delta(P), and, for P
@@ -300,7 +353,7 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
             yield "numerator-routes-disagree", None
         if a_neg != facts.cond_q:
             yield "a-invariant-vs-euler", None
-    unique_min = len(p.minimal_idx()) == 1
+    unique_min = _poset_facts(p).unique_min
     up, n = facts.uplus, len(p)
     full = (1 << len(up)) - 1
     if not _peels(up, n, full):
@@ -308,9 +361,8 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
     # the starred minimum is least in P (+) Q
     if unique_min and qmask and not _peels(up, n, full & ~(1 << up.minimal_idx()[0])):
         yield "deleted-star-does-not-peel", None
-    for f, cm_p in per_field:
+    for (f, cm_p), cm_up in zip(per_field, _uplus_cm(p, facts, per_field)):
         char = f.characteristic
-        cm_up = cm_p and is_cohen_macaulay_poset(facts.uplus, f)
         if cm_p and facts.cond_interval and not cm_up:
             yield "interval-condition-but-not-cm", char
         if cm_p and unique_min and not cm_up:

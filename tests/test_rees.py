@@ -21,6 +21,7 @@ from srposet import (
     g_dis_numerator_mu_top,
     g_dis_numerator_mu_top_via_lower_sets,
     is_cohen_macaulay_complex,
+    is_cohen_macaulay_poset,
     order_complex,
     poset_from_cover_relations,
     random_poset,
@@ -29,9 +30,19 @@ from srposet import (
     rees_cm_report,
     uplus,
 )
-from srposet import rees
+from srposet import invariants, rees
 from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes, _uplus_mask
-from srposet.rees import _all_chains, _cm_reports, _lower_set_numerator, _numerator, _polynomial, _rees_facts
+from srposet.rees import (
+    _all_chains,
+    _cm_reports,
+    _field_data,
+    _lower_set_numerator,
+    _numerator,
+    _polynomial,
+    _rees_facts,
+    _uplus_cm,
+    _violations,
+)
 
 from oracles import brute_chains, direct_numerator
 
@@ -376,3 +387,68 @@ class TestPosetRouteOracle:
                         assert report["cm_uplus"] == is_cohen_macaulay_complex(delta_up, f), (p, qmask, f)
                     classes += 1
         assert classes == 4870
+
+
+class TestUplusRoute:
+    """_uplus_cm decides P (+) Q from P's entries of (-inf, b), wherever P is
+    Cohen-Macaulay; the interval test on P (+) Q is the oracle."""
+
+    fields = [QQ, GF2, FieldSpec(3)]
+
+    def oracle(self, facts, per_field):
+        return [cm_p and is_cohen_macaulay_poset(facts.uplus, f) for f, cm_p in per_field]
+
+    def test_every_pair_class_up_to_six_elements(self):
+        checks = 0
+        for n, level in zip(range(7), _poset_classes()):
+            labels = tuple(chr(ord("a") + i) for i in range(n))
+            for lt, _, gens in level:
+                p = Poset(labels, lt)
+                per_field = _field_data(p, self.fields)
+                for qmask in _ideal_orbits(lt, gens):
+                    facts = _rees_facts(p, qmask)
+                    assert _uplus_cm(p, facts, per_field) == self.oracle(facts, per_field), (p, qmask)
+                    checks += sum(cm_p for _, cm_p in per_field)
+        assert checks == 2982
+
+    def test_dimension_from_the_uplus_interval(self):
+        # P = {a, b} is Cohen-Macaulay of dimension 0; {a* < a, b} has
+        # H~_0 != 0 in dimension 1.  (-inf, +inf) is a copy of P up to
+        # homotopy, whose entry has dimension 0: the dimension must be read
+        # in P (+) Q
+        p = antichain("a", "b")
+        per_field = _field_data(p, self.fields)
+        assert all(cm_p for _, cm_p in per_field)
+        facts = _rees_facts(p, _ideal_mask(p, ["a"]))
+        assert reduced_betti_numbers(order_complex(facts.uplus), QQ) == BettiVector({0: 1})
+        assert _uplus_cm(p, facts, per_field) == [False] * 3 == self.oracle(facts, per_field)
+
+    def test_top_in_q_is_not_a_copy(self):
+        # (-inf, a) of {a* < a} is the point a*, a cone; P's (-inf, a) is
+        # empty, with homology in degree -1.  Reading P's entry for it, as
+        # for (-inf, b) with b outside Q, would fail P (+) Q
+        p = chain("a")
+        per_field = _field_data(p, self.fields)
+        facts = _rees_facts(p, 0b1)
+        assert _uplus_cm(p, facts, per_field) == [True] * 3 == self.oracle(facts, per_field)
+
+    def test_evicted_pass_is_regrown(self):
+        # P's pass is evicted between _field_data and _violations: the
+        # route regrows it and answers as before
+        pairs = 0
+        for n, level in zip(range(6), _poset_classes()):
+            labels = tuple(chr(ord("a") + i) for i in range(n))
+            for lt, _, gens in level:
+                p = Poset(labels, lt)
+                per_field = _field_data(p, self.fields)
+                for qmask in _ideal_orbits(lt, gens):
+                    facts = _rees_facts(p, qmask)
+                    invariants._interval_pass.cache_clear()
+                    assert next(_violations(p, facts, per_field), None) is None
+                    invariants._interval_pass.cache_clear()
+                    got = _uplus_cm(p, facts, per_field)
+                    if any(cm_p for _, cm_p in per_field):
+                        assert len(invariants._interval_pass(p)) > n, (p, qmask)
+                    assert got == self.oracle(facts, per_field), (p, qmask)
+                    pairs += 1
+        assert pairs == 708
