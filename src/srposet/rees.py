@@ -10,20 +10,21 @@ same coefficient from Euler characteristics of lower sets of Q
 Public functions check Q at entry (poset._ideal_mask).  _rees_facts
 takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
 any field (the Q condition through euler_condition_Q, the one Q check of a
-sweep pair); _violations lists the properties the pair breaks.  It asks
-the interval test (is_cohen_macaulay_poset) whether P is Cohen-Macaulay
-and, where it is, reads P (+) Q off P's entries of the intervals
-(-inf, b) (_uplus_cm), with no interval pass of P (+) Q.  For Lemmas
-6.5/6.6 it peels Q* off P (+) Q as beat points (_peels), which builds no
-order complex and reads no homology.  Every chi~ sums one sign vector
-per poset (poset._chain_signs).  Only the two
-numerators list all chains (_all_chains, the faces of the order complex).
-Inside, a numerator is a dict of chain coefficients: for each chain b
-outside Q, the nonzero coefficient of L^(Q u b) * prod(1 - L) over the rest
-outside Q.  The direct route adds up chain signs, the lower-set rewrite
-reads one chi~, per b.  Each expanded image has its own leading monomial
-L^(Q u b), so the sweep compares and tests the dicts unexpanded; only the
-public g_dis_numerator_mu_top* expand them (_polynomial, one subset Moebius
+sweep pair); _violations lists the properties the pair breaks, and
+_cm_reports (rees_cm_report, the uplus command) reports them.  Both ask
+the interval test (is_cohen_macaulay_poset) whether P is Cohen-Macaulay,
+and decide P (+) Q once for every field from P's chi~ and chain heights
+(_uplus_cm), with no interval pass of P (+) Q.  For Lemmas 6.5/6.6 they
+peel Q* off P (+) Q as beat points (_peels), which builds no order
+complex and reads no homology.  Every chi~ sums one sign vector per poset
+(poset._chain_signs).  Only the two numerators list all chains
+(_all_chains, the faces of the order complex).  Inside, a numerator is a
+dict of chain coefficients: for each chain b outside Q, the nonzero
+coefficient of L^(Q u b) * prod(1 - L) over the rest outside Q.  The
+direct route adds up chain signs, the lower-set rewrite reads one chi~,
+per b.  Each expanded image has its own leading monomial L^(Q u b), so the
+sweep compares and tests the dicts unexpanded; only the public
+g_dis_numerator_mu_top* expand them (_polynomial, one subset Moebius
 transform outside Q: Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier
 meets Moebius: fast subset convolution", STOC 2007).
 """
@@ -36,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .errors import DegenerateQWarning, EmptyQError
-from .invariants import _interval_pass, _intervals, _jmin, is_cohen_macaulay_poset
+from .invariants import is_cohen_macaulay_poset
 from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
 from .simplicial import FieldSpec, _Value, _bits, _faces_by_card
 
@@ -92,9 +93,9 @@ def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
 
 
 # What the pairs of one poset P share, whatever Q: poset._chain_signs of P,
-# the mask of the x with chi~((-inf, x)) != 0, chi~(P), and whether P has
-# a unique minimal element.
-_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi unique_min")
+# the mask of the x with chi~((-inf, x)) != 0, chi~(P), whether P has a
+# unique minimal element, and the heights of its elements (_heights).
+_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi unique_min heights")
 
 
 def _chi(signs: tuple[int, ...], mask: int) -> int:
@@ -108,7 +109,17 @@ def _poset_facts(p: Poset) -> _PosetFacts:
     cols = p.down_masks()
     signs = _chain_signs(cols)
     nonzero = sum(1 << x for x, down in enumerate(cols) if _chi(signs, down))
-    return _PosetFacts(signs, nonzero, sum(signs) - 1, sum(not down for down in cols) == 1)
+    return _PosetFacts(signs, nonzero, sum(signs) - 1, sum(not d for d in cols) == 1, _heights(cols, 0))
+
+
+def _heights(cols: tuple[int, ...], double: int) -> list[int]:
+    """heights[x]: the most elements of a chain topped by x, those in the
+    mask double counted twice; with double = Q, x's height in P (+) Q (its
+    longest chains are chains of P above the stars of their elements in Q)."""
+    heights = [0] * len(cols)
+    for x in sorted(range(len(cols)), key=lambda x: cols[x].bit_count()):
+        heights[x] = 1 + (double >> x & 1) + max((heights[z] for z in _bits(cols[x])), default=0)
+    return heights
 
 
 @lru_cache(maxsize=16)
@@ -239,12 +250,13 @@ def _cm_reports(p: Poset, facts: _ReesFacts, fields: list[FieldSpec]) -> list[di
     """rees_cm_report in each field, from the facts of one pair; no warning."""
     degenerate = facts.qmask == 0 or facts.qmask == (1 << len(p)) - 1
     per_field = _field_data(p, fields)
+    cm_up = any(cm_p for _, cm_p in per_field) and _uplus_cm(p, facts)
     failed = set() if degenerate else {char for _, char in _violations(p, facts, per_field)}
     return [{
         "schema_version": 1,
         "field": {"char": f.characteristic},
         "cm_P": cm_p,
-        "cm_uplus": is_cohen_macaulay_poset(facts.uplus, f),
+        "cm_uplus": cm_p and cm_up,
         "a_negative": None if facts.numerator is None else not facts.numerator,
         "cond_Q": facts.cond_q,
         "cond_interval": facts.cond_interval,
@@ -281,15 +293,14 @@ def _peels(up: Poset, n: int, mask: int) -> bool:
     return True
 
 
-def _uplus_cm(p: Poset, facts: _ReesFacts, per_field) -> list[bool]:
-    """Cohen-Macaulayness of P (+) Q in each field of per_field
-    (_field_data(P, fields)), False wherever P is not Cohen-Macaulay; with
-    no interval pass of P (+) Q, and one look at P's pass for all fields.
+def _uplus_cm(p: Poset, facts: _ReesFacts) -> bool:
+    """Whether P (+) Q is Cohen-Macaulay in the fields where P is (in no
+    other is it); one answer for every field, with no interval pass.
 
-    Let P be Cohen-Macaulay.  The intervals (a, b) of P (+) Q with a in P
-    are P's, and (x*, y*), (-inf, y*) copy P's (x, y), (-inf, y).  The rest
-    have a in {-inf} u Q* and b in P u {+inf}.  A monotone map f of such an
-    interval I into itself with f <= id or f >= id makes I homotopy
+    Let P be Cohen-Macaulay over k.  The intervals (a, b) of P (+) Q with a
+    in P are P's, and (x*, y*), (-inf, y*) copy P's (x, y), (-inf, y).  The
+    rest have a in {-inf} u Q* and b in P u {+inf}.  A monotone map f of
+    such an interval I into itself with f <= id or f >= id makes I homotopy
     equivalent to f(I) (Quillen, "Homotopy properties of the poset of
     nontrivial p-subgroups of a group", Adv. Math. 28, 1978, 1.3):
     - (x*, b), b not in Q: z* -> z leaves {z | x <= z < b}, a cone on x;
@@ -297,38 +308,24 @@ def _uplus_cm(p: Poset, facts: _ReesFacts, per_field) -> list[bool]:
     - (-inf, b), b not in Q: z -> z* (z in Q) leaves a copy of P's (-inf, b).
     (x*, b) with b in Q is the proper part of [x, b] x {0 < 1}, the
     suspension of P's (x, b) (Walker, "Canonical homeomorphisms of
-    posets", Europ. J. Combin. 9, 1988), so it passes as P's does.  So
-    P (+) Q is Cohen-Macaulay iff each (-inf, b), b not in Q, whose entry in
-    P's pass is not acyclic (homology in its dimension d alone) has
-    dimension d in P (+) Q too.
+    posets", Europ. J. Combin. 9, 1988), so it passes as P's does.  Left
+    are (-inf, b), b not in Q or +inf.  P's has homology in its dimension
+    alone, so it is acyclic iff its chi~, the same in every field, is 0;
+    else P (+) Q's passes iff it has that dimension too: iff b is as high
+    in P (+) Q as in P (for +inf: the longest chains are as long).
+
+    Conversely, if P fails over k at (a, b) with a in P, so does P (+) Q;
+    at (-inf, y), y in Q, P (+) Q fails at (-inf, y*); at (-inf, b), b not
+    in Q or +inf, P (+) Q's (-inf, b) is homotopy equivalent to P's and of
+    no smaller dimension, so it too has homology below its top degree.
     """
-    cm = [cm_p for _, cm_p in per_field]
-    if not any(cm):
-        return cm
-    n = len(p)
-    # P's entries of (-inf, b), b in P u {+inf}, are its pass's first n + 1
-    # (None where acyclic in every field); regrow the pass if it was evicted
-    lower = _interval_pass(p)
-    if len(lower) <= n:
-        for _ in _intervals(p):
-            pass
-    up = facts.uplus
-    below = up.down_masks()
-    height = None  # height[x]: the most elements of a chain topped by x
-    for b in [n, *_bits(((1 << n) - 1) & ~facts.qmask)]:  # n stands for +inf
-        if lower[b] is None:
-            continue
-        _, _, k, d = lower[b]
-        if height is None:
-            height = [0] * len(up)
-            for x in sorted(range(len(up)), key=lambda x: below[x].bit_count()):
-                height[x] = 1 + max((height[z] for z in _bits(below[x])), default=0)
-        top = max(height, default=0) - 1 if b == n else height[b] - 2
-        if d != top:  # homology in degree d, below the top: it must vanish
-            cm = [c and _jmin(k, d, f) is None for c, (f, _) in zip(cm, per_field)]
-            if not any(cm):
-                return cm
-    return cm
+    pf = _poset_facts(p)
+    check = pf.nonzero & ~facts.qmask
+    if not (check or pf.chi):
+        return True
+    up = _heights(p.down_masks(), facts.qmask)
+    return all(up[b] == pf.heights[b] for b in _bits(check)) and not (
+        pf.chi and max(up, default=0) > max(pf.heights, default=0))
 
 
 def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, int | None]]:
@@ -361,7 +358,8 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
     # the starred minimum is least in P (+) Q
     if unique_min and qmask and not _peels(up, n, full & ~(1 << up.minimal_idx()[0])):
         yield "deleted-star-does-not-peel", None
-    for (f, cm_p), cm_up in zip(per_field, _uplus_cm(p, facts, per_field)):
+    cm_up = any(cm_p for _, cm_p in per_field) and _uplus_cm(p, facts)
+    for f, cm_p in per_field:
         char = f.characteristic
         if cm_p and facts.cond_interval and not cm_up:
             yield "interval-condition-but-not-cm", char

@@ -495,15 +495,12 @@ class TestSweepFailures:
     def test_interval_condition_but_not_cm(self, monkeypatch, capsys):
         # P itself keeps its Cohen-Macaulayness; P (+) Q with Q nonempty loses it
         real = rees._uplus_cm
-        monkeypatch.setattr(
-            rees, "_uplus_cm",
-            lambda p, facts, per_field: [False] * len(per_field) if facts.qmask else real(p, facts, per_field),
-        )
+        monkeypatch.setattr(rees, "_uplus_cm", lambda p, facts: not facts.qmask and real(p, facts))
         self.sweep_fails(capsys, "interval-condition-but-not-cm")
 
     def test_unique_min_but_not_cm(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_field_data", lambda p, fields: [(f, True) for f in fields])
-        monkeypatch.setattr(rees, "_uplus_cm", lambda p, facts, per_field: [False] * len(per_field))
+        monkeypatch.setattr(rees, "_uplus_cm", lambda p, facts: False)
         self.sweep_fails(capsys, "unique-min-but-not-cm")
 
 

@@ -44,7 +44,8 @@ from srposet.rees import (
     _violations,
 )
 
-from oracles import brute_chains, direct_numerator
+from oracles import brute_chains, direct_numerator, face_poset
+from test_simplicial import rp2
 
 
 def chain(*labels):
@@ -368,7 +369,8 @@ class TestReesFacts:
 
 class TestPosetRouteOracle:
     """The report's Cohen-Macaulay flags come from the interval pass on P and
-    on P (+) Q; the link loop on their order complexes is the oracle."""
+    from _uplus_cm on P (+) Q; the link loop on their order complexes is the
+    oracle."""
 
     def test_every_pair_class_up_to_six_elements(self):
         fields = [QQ, GF2, FieldSpec(3)]
@@ -390,65 +392,72 @@ class TestPosetRouteOracle:
 
 
 class TestUplusRoute:
-    """_uplus_cm decides P (+) Q from P's entries of (-inf, b), wherever P is
-    Cohen-Macaulay; the interval test on P (+) Q is the oracle."""
+    """_uplus_cm decides P (+) Q once for every field, from P's chi~ and
+    chain heights: P (+) Q is Cohen-Macaulay exactly where P is and the
+    route holds.  The interval test on P (+) Q is the oracle."""
 
     fields = [QQ, GF2, FieldSpec(3)]
 
-    def oracle(self, facts, per_field):
-        return [cm_p and is_cohen_macaulay_poset(facts.uplus, f) for f, cm_p in per_field]
+    def route(self, p, facts):
+        ok = _uplus_cm(p, facts)
+        return [cm_p and ok for _, cm_p in _field_data(p, self.fields)]
+
+    def oracle(self, facts):
+        return [is_cohen_macaulay_poset(facts.uplus, f) for f in self.fields]
 
     def test_every_pair_class_up_to_six_elements(self):
+        # P not Cohen-Macaulay included: there P (+) Q is not either
         checks = 0
         for n, level in zip(range(7), _poset_classes()):
             labels = tuple(chr(ord("a") + i) for i in range(n))
             for lt, _, gens in level:
                 p = Poset(labels, lt)
-                per_field = _field_data(p, self.fields)
                 for qmask in _ideal_orbits(lt, gens):
                     facts = _rees_facts(p, qmask)
-                    assert _uplus_cm(p, facts, per_field) == self.oracle(facts, per_field), (p, qmask)
-                    checks += sum(cm_p for _, cm_p in per_field)
-        assert checks == 2982
+                    assert self.route(p, facts) == self.oracle(facts), (p, qmask)
+                    checks += len(self.fields)
+        assert checks == 14610
 
     def test_dimension_from_the_uplus_interval(self):
         # P = {a, b} is Cohen-Macaulay of dimension 0; {a* < a, b} has
         # H~_0 != 0 in dimension 1.  (-inf, +inf) is a copy of P up to
-        # homotopy, whose entry has dimension 0: the dimension must be read
-        # in P (+) Q
+        # homotopy, of dimension 0 in P: the dimension must be read in
+        # P (+) Q
         p = antichain("a", "b")
-        per_field = _field_data(p, self.fields)
-        assert all(cm_p for _, cm_p in per_field)
+        assert all(cm_p for _, cm_p in _field_data(p, self.fields))
         facts = _rees_facts(p, _ideal_mask(p, ["a"]))
         assert reduced_betti_numbers(order_complex(facts.uplus), QQ) == BettiVector({0: 1})
-        assert _uplus_cm(p, facts, per_field) == [False] * 3 == self.oracle(facts, per_field)
+        assert not _uplus_cm(p, facts)
+        assert self.route(p, facts) == [False] * 3 == self.oracle(facts)
 
     def test_top_in_q_is_not_a_copy(self):
         # (-inf, a) of {a* < a} is the point a*, a cone; P's (-inf, a) is
-        # empty, with homology in degree -1.  Reading P's entry for it, as
-        # for (-inf, b) with b outside Q, would fail P (+) Q
+        # empty, with homology in degree -1.  Reading P's (-inf, a) for it,
+        # as for (-inf, b) with b outside Q, would fail P (+) Q
         p = chain("a")
-        per_field = _field_data(p, self.fields)
         facts = _rees_facts(p, 0b1)
-        assert _uplus_cm(p, facts, per_field) == [True] * 3 == self.oracle(facts, per_field)
+        assert _uplus_cm(p, facts)
+        assert self.route(p, facts) == [True] * 3 == self.oracle(facts)
 
-    def test_evicted_pass_is_regrown(self):
-        # P's pass is evicted between _field_data and _violations: the
-        # route regrows it and answers as before
-        pairs = 0
-        for n, level in zip(range(6), _poset_classes()):
-            labels = tuple(chr(ord("a") + i) for i in range(n))
-            for lt, _, gens in level:
-                p = Poset(labels, lt)
-                per_field = _field_data(p, self.fields)
-                for qmask in _ideal_orbits(lt, gens):
-                    facts = _rees_facts(p, qmask)
-                    invariants._interval_pass.cache_clear()
-                    assert next(_violations(p, facts, per_field), None) is None
-                    invariants._interval_pass.cache_clear()
-                    got = _uplus_cm(p, facts, per_field)
-                    if any(cm_p for _, cm_p in per_field):
-                        assert len(invariants._interval_pass(p)) > n, (p, qmask)
-                    assert got == self.oracle(facts, per_field), (p, qmask)
-                    pairs += 1
-        assert pairs == 708
+    def test_fields_told_apart(self):
+        # the face poset of the 6-vertex RP^2 is Cohen-Macaulay over QQ but
+        # not over GF2.  With Q = P the interval condition holds, so
+        # P (+) Q must follow P in each field, whichever field comes first
+        p = face_poset(rp2())
+        assert len(p) == 31
+        facts = _rees_facts(p, (1 << len(p)) - 1)
+        up = uplus(p, p.elements)
+        for fields, want in (([QQ, GF2], [True, False]), ([GF2, QQ], [False, True])):
+            reports = _cm_reports(p, facts, fields)
+            assert [r["cm_P"] for r in reports] == want
+            assert [r["cm_uplus"] for r in reports] == want
+            assert want == [is_cohen_macaulay_poset(up, f) for f in fields]
+            assert next(_violations(p, facts, _field_data(p, fields)), None) is None
+
+    def test_no_pass_of_uplus(self):
+        # uplus and rees_cm_report build P's interval pass, never P (+) Q's
+        p = poset_from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        invariants._interval_pass.cache_clear()
+        reports = _cm_reports(p, _rees_facts(p, 0b11), [QQ, GF2])
+        assert [r["cm_P"] for r in reports] == [True, True]
+        assert invariants._interval_pass.cache_info().currsize == 1
