@@ -47,11 +47,6 @@ def rank_char0(rows: list[dict[int, int]]) -> int:
     return _rank(rows, 0)
 
 
-def rank_modp(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of sparse integer rows {column: entry}."""
-    return _rank(rows, p)
-
-
 def rank_mod2(bitrows: list[int]) -> int:
     """Rank over F_2 of a matrix whose rows are given as bitmasks."""
     pivots: dict[int, int] = {}

@@ -18,11 +18,12 @@ from .errors import CapExceededError, SRPosetError
 from .invariants import _field_report, complex_report, depth_poset, is_buchsbaum_poset, krull_dim_stanley_reisner
 from .poset import (
     Poset,
-    _chain_lengths,
+    _heights,
     _ideal_mask,
     _ideal_orbits,
     _poset_classes,
     ideal_from_json,
+    is_pure,
     poset_from_json,
     poset_to_json,
     reduced_euler_char_poset,
@@ -98,12 +99,11 @@ def _field_rows(reports) -> list[dict]:
 def cmd_check_poset(args) -> int:
     p = _parse(poset_from_json, _read(args.file), "poset")
     fields = _fields_from_args(args)
-    lengths = _chain_lengths(p)
-    dim = max(lengths, default=0)
+    dim = max(_heights(p), default=0)
     report = {
         "schema_version": SCHEMA_VERSION,
         "elements": len(p),
-        "pure": len(lengths) <= 1,
+        "pure": is_pure(p),
         "euler_char": reduced_euler_char_poset(p),
         "dim": dim,
         "fields": _field_rows(_field_report(p, f, dim, depth_poset(p, f), is_buchsbaum_poset) for f in fields),

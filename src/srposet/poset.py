@@ -215,21 +215,30 @@ def _least_on_cycle(rows: Sequence[int], left: Iterable[int]) -> int:
 
 
 def is_pure(p: Poset) -> bool:
-    """True iff all maximal chains of p have the same cardinality."""
-    return len(_chain_lengths(p)) <= 1
+    """True iff all maximal chains of p have the same cardinality: iff the
+    heights (_heights) rise by one along every cover and every maximal
+    element has the top height.  Then a maximal chain ending at m has h(m)
+    elements; and a pure p is graded."""
+    heights = _heights(p)
+    top = max(heights, default=0)
+    return all(all(heights[y] == h + 1 for y in _bits(up)) if up else h == top
+               for h, up in zip(heights, p._covers()))
 
 
-def _chain_lengths(p: Poset) -> frozenset[int]:
-    """The cardinalities of the maximal chains of p; none if p is empty."""
-    n = len(p)
-    covers = p._covers()
-    # lengths of the maximal chains from each element, computed top down:
-    # an element has fewer elements above it than anything below it
-    lengths = [frozenset([1])] * n
-    for x in sorted(range(n), key=lambda i: p.lt[i].bit_count()):
-        if covers[x]:
-            lengths[x] = frozenset(1 + l for y in _bits(covers[x]) for l in lengths[y])
-    return frozenset().union(*(lengths[x] for x in p.minimal_idx()))
+def _heights(p: Poset, qmask: int = 0) -> list[int]:
+    """heights[x]: the most elements of a chain of P (+) Q topped by x, Q
+    the ideal qmask (P's own heights for qmask = 0).  Such a chain is
+    y1* < ... < yk* < z1 < ... < x with yk <= z1: one element longer than
+    the chain y1 < ... < yk <= z1 < ... < x of P at most, exactly when
+    yk = z1, as c1* < c1 < ... < x is for c1 in Q.  So a height is a
+    longest chain of P topped by x, its bottom counted twice if in Q.
+    Pushed up the covers, from the elements with the most above them."""
+    covers, heights = p._covers(), [0] * len(p)  # the most below x, till x is reached
+    for x in sorted(range(len(p)), key=lambda x: p.lt[x].bit_count(), reverse=True):
+        h = heights[x] = (heights[x] or qmask >> x & 1) + 1
+        for y in _bits(covers[x]):
+            heights[y] = max(heights[y], h)
+    return heights
 
 
 def is_poset_ideal(p: Poset, subset: Iterable[str]) -> bool:
@@ -334,15 +343,17 @@ def order_complex(p: Poset) -> SimplicialComplex:
 def _cover_masks(lt: Sequence[int]) -> list[int]:
     """The covers of a strict order: entry i is row i minus the rows above
     it.  Also the closure check: raises if a row it visits leaves row i.
-    Once j passes, lt[j] is skipped; complete by induction on |lt[i]|: a
-    skipped j' lies in lt[j], strictly smaller than lt[i] (no j), so lt[j']
-    lies in lt[j], which lies in lt[i]."""
+    Once j passes, lt[j] is skipped; complete by induction on |lt[i]|, in
+    any visit order: a skipped j' lies in lt[j], strictly smaller than lt[i]
+    (no j), so lt[j'] lies in lt[j], which lies in lt[i].  Visiting the
+    lowest and the highest bit left in turn passes a chain in at most two
+    steps a row, whichever way it is labelled."""
     covers = []
     for row in lt:
-        reach = 0
-        t = row
+        reach, t, low = 0, row, True
         while t:
-            j = (t & -t).bit_length() - 1
+            j = (t & -t if low else t).bit_length() - 1
+            low = not low
             if lt[j] & ~row:
                 raise ValueError("relation is not transitively closed")
             reach |= lt[j]

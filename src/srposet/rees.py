@@ -13,8 +13,9 @@ any field (the Q condition through euler_condition_Q, the one Q check of a
 sweep pair); _violations lists the properties the pair breaks, and
 _cm_reports (rees_cm_report, the uplus command) reports them.  Both ask
 the interval test (is_cohen_macaulay_poset) whether P is Cohen-Macaulay,
-and decide P (+) Q once for every field from P's chi~ and chain heights
-(_uplus_cm), with no interval pass of P (+) Q.  For Lemmas 6.5/6.6 they
+and decide P (+) Q once for every field from P's chi~ and the chain
+heights of P and P (+) Q (_uplus_cm; poset._heights pushes them up the
+covers), with no interval pass of P (+) Q.  For Lemmas 6.5/6.6 they
 peel Q* off P (+) Q as beat points (_peels), which builds no order
 complex and reads no homology.  Every chi~ sums one sign vector per poset
 (poset._chain_signs).  Only the two numerators list all chains
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 from .errors import DegenerateQWarning, EmptyQError
 from .invariants import is_cohen_macaulay_poset
-from .poset import Poset, _chain_signs, _ideal_mask, _uplus_mask, order_complex
+from .poset import Poset, _chain_signs, _heights, _ideal_mask, _uplus_mask, order_complex
 from .simplicial import FieldSpec, _Value, _bits, _faces_by_card
 
 
@@ -94,7 +95,7 @@ def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
 
 # What the pairs of one poset P share, whatever Q: poset._chain_signs of P,
 # the mask of the x with chi~((-inf, x)) != 0, chi~(P), whether P has a
-# unique minimal element, and the heights of its elements (_heights).
+# unique minimal element, and the heights of its elements (poset._heights).
 _PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi unique_min heights")
 
 
@@ -109,17 +110,7 @@ def _poset_facts(p: Poset) -> _PosetFacts:
     cols = p.down_masks()
     signs = _chain_signs(cols)
     nonzero = sum(1 << x for x, down in enumerate(cols) if _chi(signs, down))
-    return _PosetFacts(signs, nonzero, sum(signs) - 1, sum(not d for d in cols) == 1, _heights(cols, 0))
-
-
-def _heights(cols: tuple[int, ...], double: int) -> list[int]:
-    """heights[x]: the most elements of a chain topped by x, those in the
-    mask double counted twice; with double = Q, x's height in P (+) Q (its
-    longest chains are chains of P above the stars of their elements in Q)."""
-    heights = [0] * len(cols)
-    for x in sorted(range(len(cols)), key=lambda x: cols[x].bit_count()):
-        heights[x] = 1 + (double >> x & 1) + max((heights[z] for z in _bits(cols[x])), default=0)
-    return heights
+    return _PosetFacts(signs, nonzero, sum(signs) - 1, sum(not d for d in cols) == 1, _heights(p))
 
 
 @lru_cache(maxsize=16)
@@ -323,7 +314,7 @@ def _uplus_cm(p: Poset, facts: _ReesFacts) -> bool:
     check = pf.nonzero & ~facts.qmask
     if not (check or pf.chi):
         return True
-    up = _heights(p.down_masks(), facts.qmask)
+    up = _heights(p, facts.qmask)
     return all(up[b] == pf.heights[b] for b in _bits(check)) and not (
         pf.chi and max(up, default=0) > max(pf.heights, default=0))
 

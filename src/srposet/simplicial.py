@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 import json
 
-from ._exact import rank_char0, rank_mod2, rank_modp
+from ._exact import _rank, rank_char0, rank_mod2
 from .errors import NotAFaceError, UnknownVertexError
 
 
@@ -364,7 +364,7 @@ def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:
             row[f & ~(1 << b)] = sign
             sign = -sign
         rows.append(row)
-    return rank_char0(rows) if char == 0 else rank_modp(rows, char)
+    return rank_char0(rows) if char == 0 else _rank(rows, char)
 
 
 def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:

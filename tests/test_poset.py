@@ -48,8 +48,10 @@ from srposet.poset import (
     _chain_signs,
     _closed_masks,
     _cover_masks,
+    _heights,
     _ideal_orbits,
     _poset_classes,
+    _uplus_mask,
 )
 from srposet.simplicial import _bits
 
@@ -197,13 +199,27 @@ class TestClosureCheck:
         assert time.process_time() - start < 0.1
 
 
+# a maximal element below the top height: heights do rise by one along
+# every cover, so a check of the covers alone misses it
+SPLIT = poset_from_cover_relations(["a", "b", "c"], [("a", "b")])
+# a cover that skips a height: both maxima have height 3 and every element
+# lies on a 3-chain, so a check of the maxima alone misses the chain a1 < c2
+CROSSED = poset_from_cover_relations(
+    ["a1", "b1", "c1", "a2", "b2", "c2"],
+    [("a1", "b1"), ("b1", "c1"), ("a2", "b2"), ("b2", "c2"), ("a1", "c2")],
+)
+
+
 class TestPurity:
     def test_chain_pure(self):
         assert is_pure(chain("a", "b", "c"))
 
     def test_mixed_heights_not_pure(self):
-        p = poset_from_cover_relations(["a", "b", "c"], [("a", "b")])
-        assert not is_pure(p)
+        assert not is_pure(SPLIT)
+
+    def test_cover_skipping_a_height_not_pure(self):
+        assert {len(c) for c in brute_maximal_chains(CROSSED)} == {2, 3}
+        assert not is_pure(CROSSED)
 
     def test_empty_pure(self):
         assert is_pure(antichain())
@@ -225,11 +241,48 @@ class TestPurity:
         assert p.less("e0", "e2999") and not p.less("e2999", "e0")
         assert is_pure(p)
 
-    @given(small_posets())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_maximal_chain_enumeration(self, p):
-        lengths = {len(c) for c in brute_maximal_chains(p)}
-        assert is_pure(p) == (len(lengths) <= 1)
+    def test_long_chain_labelled_top_down_fast(self):
+        # e2999 < ... < e0: each row's lowest bit is the top of the chain
+        labels = [f"e{i}" for i in range(3000)]
+        covers = list(zip(labels[1:], labels))
+        start = time.process_time()
+        p = poset_from_cover_relations(labels, covers)
+        assert is_pure(p)
+        assert time.process_time() - start < 0.2
+        start = time.process_time()
+        assert Poset(p.elements, p.lt) == p
+        assert time.process_time() - start < 0.2
+        assert p.less("e2999", "e0") and not p.less("e0", "e2999")
+
+    def test_matches_maximal_chain_enumeration(self):
+        # every labelled poset up to 5 elements, and seeded ones on 6
+        labels = [f"e{i}" for i in range(6)]
+        rng = random.Random(3)
+        posets = [p for n in range(6) for p in enumerate_posets(labels[:n])]
+        posets += [random_poset(rng, labels, edge_prob=rng.random()) for _ in range(60)]
+        for p in posets:
+            lengths = {len(c) for c in brute_maximal_chains(p)}
+            assert is_pure(p) == (len(lengths) <= 1), p
+
+
+class TestHeights:
+    def test_uplus_heights_from_its_maximal_chains(self):
+        """_heights(p, q)[x] is x's height in P (+) Q: the most elements of
+        a maximal chain of P (+) Q through x that lie at or below x."""
+        pairs = 0
+        for n, level in zip(range(7), _poset_classes()):
+            labels = tuple(f"e{i}" for i in range(n))
+            for lt, _, gens in level:
+                p = Poset(labels, lt)
+                for qmask in _ideal_orbits(lt, gens):
+                    up = _uplus_mask(p, qmask)
+                    below = up.down_masks()
+                    facets = order_complex(up).facets
+                    expected = [max((f & (below[x] | 1 << x)).bit_count() for f in facets if f >> x & 1)
+                                for x in range(n)]
+                    assert _heights(p, qmask) == expected, (p, qmask)
+                    pairs += 1
+        assert pairs == 4870
 
 
 class TestOpenInterval:

@@ -289,9 +289,9 @@ class TestExactRanks:
     )
     @settings(max_examples=100, deadline=None)
     def test_modp_consistency(self, rows, p):
-        from srposet._exact import rank_mod2, rank_modp
+        from srposet._exact import _rank, rank_mod2
 
-        r = rank_modp([dict(enumerate(row)) for row in rows], p)
+        r = _rank([dict(enumerate(row)) for row in rows], p)
         if p == 2:
             bitrows = [
                 sum(1 << j for j, x in enumerate(row) if x % 2) for row in rows
@@ -310,13 +310,13 @@ class TestExactRanks:
         ))
         entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p))
         rows = data.draw(st.lists(st.dictionaries(st.sampled_from(keys), entry), min_size=1, max_size=7))
-        from srposet._exact import rank_char0, rank_modp
+        from srposet._exact import _rank, rank_char0
 
         dense = [[row.get(j, 0) for j in sorted(keys)] for row in rows]
         if p == 0:
             assert rank_char0(rows) == rank_fraction(dense)
         else:
-            assert rank_modp(rows, p) == rank_mod_prime(dense, p) <= rank_fraction(dense)
+            assert _rank(rows, p) == rank_mod_prime(dense, p) <= rank_fraction(dense)
 
     def test_snf_oracle_on_dense_integer_matrices(self):
         """The Smith-form oracle on a dense 7 x 7 matrix on which reducing
