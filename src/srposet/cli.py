@@ -22,6 +22,7 @@ from .poset import (
     _ideal_mask,
     _ideal_orbits,
     _poset_classes,
+    _uplus_mask,
     ideal_from_json,
     is_pure,
     poset_from_json,
@@ -145,15 +146,16 @@ def cmd_uplus(args) -> int:
     q = _parse(ideal_from_json, _read(args.ideal), "ideal")
     fields = _fields_from_args(args)
     try:
-        facts = _rees_facts(p, _ideal_mask(p, q))
-        per_field = _cm_reports(p, facts, fields)
+        qmask = _ideal_mask(p, q)
+        up = _uplus_mask(p, qmask)  # labelled for the report alone
     except (SRPosetError, ValueError) as exc:
         # ValueError: a label that carries the reserved star marker
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    per_field = _cm_reports(p, _rees_facts(p, qmask), fields)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "uplus": json.loads(poset_to_json(facts.uplus)),
+        "uplus": json.loads(poset_to_json(up)),
         "fields": per_field,
     }
     if per_field[0]["degenerate"]:

@@ -318,20 +318,37 @@ def uplus(p: Poset, q: Iterable[str]) -> Poset:
 
 def _uplus_mask(p: Poset, qmask: int) -> Poset:
     """uplus for the bitmask of a subset already known to be an ideal."""
+    _reject_star(p)
+    labels = p.elements + tuple(p.elements[x] + STAR for x in _bits(qmask))
+    return Poset._trusted(labels, _uplus_rows(p.lt, qmask))
+
+
+def _reject_star(p: Poset) -> None:
+    """Raises ValueError if a label of p carries the marker of Q*."""
     for e in p.elements:
         if STAR in e:
             raise ValueError(f"label {e!r} contains the reserved marker {STAR!r}")
-    n = len(p)
-    qidx = list(_bits(qmask))
-    star_of = {x: n + k for k, x in enumerate(qidx)}
-    labels = list(p.elements) + [p.elements[x] + STAR for x in qidx]
-    rows = list(p.lt)
-    for x in qidx:
-        row = (1 << x) | p.lt[x]
-        for y in _bits(p.lt[x] & qmask):
-            row |= 1 << star_of[y]
+
+
+def _uplus_rows(lt: Sequence[int], qmask: int) -> tuple[int, ...]:
+    """The relation rows of P (+) Q, Q the ideal qmask: P's rows lt, then
+    one row for each x* (x in Q, in index order, so y* has index n plus
+    the number of elements of Q before y): x, all of P above x, and the
+    y* with x < y in Q.  No element of P lies below a star."""
+    n = len(lt)
+    rows = list(lt)
+    m = qmask
+    while m:
+        low = m & -m
+        up = lt[low.bit_length() - 1]
+        row, t = low | up, up & qmask
+        while t:
+            y = t & -t
+            row |= 1 << (n + (qmask & (y - 1)).bit_count())
+            t ^= y
         rows.append(row)
-    return Poset._trusted(tuple(labels), tuple(rows))
+        m ^= low
+    return tuple(rows)
 
 
 def order_complex(p: Poset) -> SimplicialComplex:

@@ -10,14 +10,15 @@ same coefficient from Euler characteristics of lower sets of Q
 Public functions check Q at entry (poset._ideal_mask).  _rees_facts
 takes that mask, or a sweep's orbit mask, and gathers what a pair needs in
 any field (the Q condition through euler_condition_Q, the one Q check of a
-sweep pair); _violations lists the properties the pair breaks, and
+sweep pair; P (+) Q as relation rows, poset._uplus_rows, never a labelled
+Poset); _violations lists the properties the pair breaks, and
 _cm_reports (rees_cm_report, the uplus command) reports them.  Both ask
 the interval test (is_cohen_macaulay_poset) whether P is Cohen-Macaulay,
 and decide P (+) Q once for every field from P's chi~ and the chain
 heights of P and P (+) Q (_uplus_cm; poset._heights pushes them up the
 covers), with no interval pass of P (+) Q.  For Lemmas 6.5/6.6 they
-peel Q* off P (+) Q as beat points (_peels), which builds no order
-complex and reads no homology.  Every chi~ sums one sign vector per poset
+peel Q* off the rows of P (+) Q as beat points (_peels), which builds no
+order complex and reads no homology.  Every chi~ sums one sign vector per poset
 (poset._chain_signs).  Only the two numerators list all chains
 (_all_chains, the faces of the order complex).  Inside, a numerator is a
 dict of chain coefficients: for each chain b outside Q, the nonzero
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 from .errors import DegenerateQWarning, EmptyQError
 from .invariants import is_cohen_macaulay_poset
-from .poset import Poset, _chain_signs, _heights, _ideal_mask, _uplus_mask, order_complex
+from .poset import Poset, _chain_signs, _heights, _ideal_mask, _reject_star, _uplus_rows, order_complex
 from .simplicial import FieldSpec, _Value, _bits, _faces_by_card
 
 
@@ -72,8 +73,9 @@ _DEGENERATE = "Q is empty or all of P; the biconditional is not asserted"
 
 
 # What a pair (P, Q) gives whatever the field; Q is checked at entry.  The
-# numerator is the dict of chain coefficients, None when Q is empty.
-_ReesFacts = namedtuple("_ReesFacts", "qmask cond_q cond_interval numerator uplus")
+# numerator is the dict of chain coefficients, None when Q is empty; rows
+# is the relation of P (+) Q (poset._uplus_rows), with no labels.
+_ReesFacts = namedtuple("_ReesFacts", "qmask cond_q cond_interval numerator rows")
 
 
 def _nonempty_mask(p: Poset, q: Iterable[str]) -> int:
@@ -89,19 +91,25 @@ def _rees_facts(p: Poset, qmask: int) -> _ReesFacts:
         euler_condition_Q(p, [p.elements[i] for i in _bits(qmask)]),
         _interval_vanishes(p, qmask),
         _numerator(p, qmask) if qmask else None,
-        _uplus_mask(p, qmask),
+        _uplus_rows(p.lt, qmask),
     )
 
 
 # What the pairs of one poset P share, whatever Q: poset._chain_signs of P,
-# the mask of the x with chi~((-inf, x)) != 0, chi~(P), whether P has a
-# unique minimal element, and the heights of its elements (poset._heights).
-_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi unique_min heights")
+# the mask of the x with chi~((-inf, x)) != 0, chi~(P), the index of P's
+# unique minimal element (None if it has none), and the heights of its
+# elements (poset._heights).
+_PosetFacts = namedtuple("_PosetFacts", "signs nonzero chi least heights")
 
 
 def _chi(signs: tuple[int, ...], mask: int) -> int:
     """chi~ of a down-closed mask, from the chain signs of its poset."""
-    return sum(signs[i] for i in _bits(mask)) - 1
+    total = -1
+    while mask:
+        low = mask & -mask
+        total += signs[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -110,7 +118,8 @@ def _poset_facts(p: Poset) -> _PosetFacts:
     cols = p.down_masks()
     signs = _chain_signs(cols)
     nonzero = sum(1 << x for x, down in enumerate(cols) if _chi(signs, down))
-    return _PosetFacts(signs, nonzero, sum(signs) - 1, sum(not d for d in cols) == 1, _heights(p))
+    least = cols.index(0) if cols.count(0) == 1 else None
+    return _PosetFacts(signs, nonzero, sum(signs) - 1, least, _heights(p))
 
 
 @lru_cache(maxsize=16)
@@ -131,10 +140,15 @@ def euler_condition_Q(p: Poset, q: Iterable[str]) -> bool:
     qmask = _ideal_mask(p, q)
     cols = p.down_masks()
     signs = _poset_facts(p).signs
+    if _chi(signs, qmask):
+        return False
     outside = ((1 << len(p)) - 1) & ~qmask
-    return _chi(signs, qmask) == 0 and all(
-        _chi(signs, cols[x] & qmask) == 0 for x in _bits(outside)
-    )
+    while outside:
+        low = outside & -outside
+        if _chi(signs, cols[low.bit_length() - 1] & qmask):
+            return False
+        outside ^= low
+    return True
 
 
 def euler_condition_interval(p: Poset, q: Iterable[str]) -> bool:
@@ -231,7 +245,9 @@ def rees_cm_report(p: Poset, q: Iterable[str], field: FieldSpec) -> dict:
     flags are still reported, consistency is not asserted (None), and a
     DegenerateQWarning is emitted.
     """
-    report = _cm_reports(p, _rees_facts(p, _ideal_mask(p, q)), [field])[0]
+    qmask = _ideal_mask(p, q)
+    _reject_star(p)  # as uplus(p, q) would
+    report = _cm_reports(p, _rees_facts(p, qmask), [field])[0]
     if report["degenerate"]:
         warnings.warn(_DEGENERATE, DegenerateQWarning, stacklevel=2)
     return report
@@ -261,22 +277,30 @@ def _field_data(p: Poset, fields: list[FieldSpec]) -> list[tuple[FieldSpec, bool
     return [(f, is_cohen_macaulay_poset(p, f)) for f in fields]
 
 
-def _peels(up: Poset, n: int, mask: int) -> bool:
+def _peels(rows: tuple[int, ...], n: int, mask: int) -> bool:
     """True iff the starred elements of mask (indices n and up: Q* in
-    P (+) Q) can be deleted one by one, each a beat point of what is left:
-    its up-set in the mask has exactly one minimal element.  Each deletion
-    is a strong deformation retraction of the order complex (Stong, "Finite
-    topological spaces", Trans. AMS 123, 1966; Barmak and Minian, "Strong
-    homotopy types, nerves and collapses", 2012).  A pass tries the highest
-    index first; passes repeat while they delete something.
+    the rows of P (+) Q) can be deleted one by one, each a beat point of
+    what is left: its up-set in the mask has exactly one minimal element.
+    Each deletion is a strong deformation retraction of the order complex
+    (Stong, "Finite topological spaces", Trans. AMS 123, 1966; Barmak and
+    Minian, "Strong homotopy types, nerves and collapses", 2012).  A pass
+    tries the highest index first; passes repeat while they delete
+    something.
     """
-    lt = up.lt
     while mask >> n:
         before = mask
-        for x in reversed([*_bits(mask >> n << n)]):
-            above = lt[x] & mask
-            for y in _bits(above):
-                above &= ~lt[y]
+        stars = mask >> n << n
+        while stars:
+            x = stars.bit_length() - 1
+            stars ^= 1 << x
+            # the minimal elements of the up-set: clear what lies above each
+            # one left; what lies above a cleared one is cleared already
+            above = t = rows[x] & mask
+            while t:
+                low = t & -t
+                up = rows[low.bit_length() - 1]
+                above &= ~up
+                t &= ~(up | low)
             if above and not above & (above - 1):
                 mask ^= 1 << x
         if mask == before:
@@ -341,20 +365,23 @@ def _violations(p: Poset, facts: _ReesFacts, per_field) -> Iterator[tuple[str, i
             yield "numerator-routes-disagree", None
         if a_neg != facts.cond_q:
             yield "a-invariant-vs-euler", None
-    unique_min = _poset_facts(p).unique_min
-    up, n = facts.uplus, len(p)
-    full = (1 << len(up)) - 1
-    if not _peels(up, n, full):
+    least = _poset_facts(p).least
+    rows, n = facts.rows, len(p)
+    full = (1 << len(rows)) - 1
+    if not _peels(rows, n, full):
         yield "uplus-does-not-peel", None
-    # the starred minimum is least in P (+) Q
-    if unique_min and qmask and not _peels(up, n, full & ~(1 << up.minimal_idx()[0])):
-        yield "deleted-star-does-not-peel", None
+    # P's minimum m lies in Q, and m* is least in P (+) Q: it follows P
+    # and the stars of the elements of Q before m
+    if least is not None and qmask:
+        star = n + (qmask & ((1 << least) - 1)).bit_count()
+        if not _peels(rows, n, full & ~(1 << star)):
+            yield "deleted-star-does-not-peel", None
     cm_up = any(cm_p for _, cm_p in per_field) and _uplus_cm(p, facts)
     for f, cm_p in per_field:
         char = f.characteristic
         if cm_p and facts.cond_interval and not cm_up:
             yield "interval-condition-but-not-cm", char
-        if cm_p and unique_min and not cm_up:
+        if cm_p and least is not None and not cm_up:
             yield "unique-min-but-not-cm", char
         if cm_p and qmask and qmask.bit_count() < len(p) and cm_up != a_neg:
             yield "biconditional-fails", char

@@ -434,6 +434,25 @@ def warshall_closure(rows: list[int]) -> list[int]:
     return rows
 
 
+def brute_uplus_rows(p, qmask: int) -> list[int]:
+    """The relation rows of P (+) Q, Q given by the bitmask qmask, from
+    p.less and the definition alone: P's elements in their order, then x*
+    for each x in Q in index order; x* < y* iff x < y, x* < y iff x <= y,
+    P keeps its order, and no element of P lies below a star."""
+    elems = list(p.elements)
+    q = [e for i, e in enumerate(elems) if (qmask >> i) & 1]
+    # (label, starred) for each element of P (+) Q, in index order
+    nodes = [(e, False) for e in elems] + [(e, True) for e in q]
+
+    def below(a, b) -> bool:
+        (x, x_star), (y, y_star) = a, b
+        if not x_star:
+            return not y_star and p.less(x, y)
+        return p.less(x, y) if y_star else x == y or p.less(x, y)
+
+    return [sum(1 << j for j, b in enumerate(nodes) if below(a, b)) for a in nodes]
+
+
 def labelled_sweep(max_elements: int, fields) -> tuple[int, tuple | None]:
     """The sweep over every labelled (poset, ideal) pair: enumerate_posets
     times all_poset_ideals, each pair through the library's pair report.

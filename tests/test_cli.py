@@ -1,9 +1,11 @@
 import json
+import sys
 import time
 
 import pytest
 
 from srposet import GF2, QQ, cli, invariants, poset_from_cover_relations, poset_to_json, rees
+from srposet import poset as poset_module
 from srposet.cli import main
 from srposet.invariants import _interval_pass, _link_cores
 from srposet.poset import Poset, _canonical
@@ -291,6 +293,16 @@ class TestUplus:
         assert captured.out == ""
         assert captured.err == "error: label 'a*' contains the reserved marker '*'\n"
 
+    def test_starred_label_after_ideal_check(self, capsys, tmp_path):
+        # a Q that is not an ideal is reported first, as by uplus
+        path = tmp_path / "starred.json"
+        path.write_text(json.dumps({"elements": ["a*", "b"], "covers": [["a*", "b"]]}))
+        code = main(["uplus", str(path), ideal_file(tmp_path, ["b"]), "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Q is not a poset ideal of P\n"
+
 
 class TestDetsym:
     def test_n3(self, capsys):
@@ -375,6 +387,20 @@ class TestSweep:
         assert main(["sweep", "--max-elements", "4"]) == 0
         assert len(checked) == 132
 
+    def test_no_labelled_uplus_on_sweep_path(self, monkeypatch, capsys):
+        # the pair loop keeps P (+) Q as relation rows; only the uplus
+        # command and the public uplus label it
+        def refuse(p, qmask):
+            raise AssertionError("built a labelled P (+) Q")
+
+        real = poset_module._uplus_mask
+        for name, module in list(sys.modules.items()):  # every binding, as imported
+            if name.startswith("srposet") and getattr(module, "_uplus_mask", None) is real:
+                monkeypatch.setattr(module, "_uplus_mask", refuse)
+        assert main(["sweep", "--max-elements", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out == "sweep ok: 48711 (poset, ideal) pairs up to 5 elements, characteristics [0, 2]\n"
+
     def test_no_polynomial_on_sweep_path(self, monkeypatch, capsys):
         # the sweep compares the numerators as term-mask dicts; only the
         # public numerator functions build an IntPolynomial
@@ -456,7 +482,7 @@ class TestSweepFailures:
         # failing only the peel of P (+) Q - m*, the one mask short of all of P (+) Q
         real = rees._peels
         monkeypatch.setattr(
-            rees, "_peels", lambda up, n, mask: mask == (1 << len(up)) - 1 and real(up, n, mask)
+            rees, "_peels", lambda rows, n, mask: mask == (1 << len(rows)) - 1 and real(rows, n, mask)
         )
         self.sweep_fails(capsys, "deleted-star-does-not-peel")
 
@@ -464,13 +490,15 @@ class TestSweepFailures:
         # a new maximal c* above the least element m* only: P (+) Q is still a
         # cone on m*, so its Betti numbers are P's, but c* is not a beat point
         def above_least(facts):
-            up = facts.uplus
-            least = up.minimal_idx()
+            above = 0
+            for row in facts.rows:
+                above |= row
+            least = [i for i in range(len(facts.rows)) if not (above >> i) & 1]
             if len(least) != 1:
                 return facts
-            rows = list(up.lt) + [0]
-            rows[least[0]] |= 1 << len(up)
-            return facts._replace(uplus=Poset(up.elements + ("c*",), rows))
+            rows = [*facts.rows, 0]
+            rows[least[0]] |= 1 << len(facts.rows)
+            return facts._replace(rows=Poset([str(i) for i in range(len(rows))], rows).lt)
 
         self.patch_facts(monkeypatch, above_least)
         self.sweep_fails(capsys, "uplus-does-not-peel")
@@ -486,8 +514,7 @@ class TestSweepFailures:
         # an isolated z*: the order complex of P (+) Q gains a component, and
         # z* is not a beat point, so the peel fails
         def isolated_star(facts):
-            up = facts.uplus
-            return facts._replace(uplus=Poset(up.elements + ("z*",), up.lt + (0,)))
+            return facts._replace(rows=facts.rows + (0,))
 
         self.patch_facts(monkeypatch, isolated_star)
         self.sweep_fails(capsys, "uplus-does-not-peel")

@@ -52,10 +52,11 @@ from srposet.poset import (
     _ideal_orbits,
     _poset_classes,
     _uplus_mask,
+    _uplus_rows,
 )
 from srposet.simplicial import _bits
 
-from oracles import brute_euler_poset, brute_maximal_chains, warshall_closure
+from oracles import brute_euler_poset, brute_maximal_chains, brute_uplus_rows, warshall_closure
 
 
 def chain(*labels):
@@ -368,6 +369,22 @@ class TestUplus:
         p = poset_from_cover_relations(["a*"], [])
         with pytest.raises(ValueError):
             uplus(p, [])
+
+    def test_rows_match_definition(self):
+        # the engine's rows of P (+) Q, and the labelled uplus's, against
+        # the definition read through p.less, on every pair class up to six
+        # elements
+        pairs = 0
+        for n, level in zip(range(7), _poset_classes()):
+            labels = tuple(f"e{i}" for i in range(n))
+            for lt, _, gens in level:
+                p = Poset(labels, lt)
+                for qmask in _ideal_orbits(lt, gens):
+                    want = brute_uplus_rows(p, qmask)
+                    assert list(_uplus_rows(lt, qmask)) == want, (p, qmask)
+                    assert list(uplus(p, [labels[i] for i in _bits(qmask)]).lt) == want, (p, qmask)
+                    pairs += 1
+        assert pairs == 4870
 
     @given(small_posets(), st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -31,7 +32,7 @@ from srposet import (
     uplus,
 )
 from srposet import invariants, rees
-from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes, _uplus_mask
+from srposet.poset import Poset, _ideal_mask, _ideal_orbits, _poset_classes, _uplus_mask, _uplus_rows
 from srposet.rees import (
     _all_chains,
     _cm_reports,
@@ -54,6 +55,13 @@ def chain(*labels):
 
 def antichain(*labels):
     return poset_from_cover_relations(labels, [])
+
+
+def uplus_of(p, facts):
+    """P (+) Q labelled from the rows of the facts of (P, Q); Poset checks
+    that they are a closed strict order."""
+    stars = [p.elements[i] + "*" for i in range(len(p)) if (facts.qmask >> i) & 1]
+    return Poset([*p.elements, *stars], facts.rows)
 
 
 class TestIntPolynomial:
@@ -205,7 +213,7 @@ class TestReport:
         assert all(r["consistent"] for r in _cm_reports(diamond, facts, [QQ, GF2]))
         # Lemmas 6.5 and 6.6 are checked by the peel alone: when it fails, the
         # pair is inconsistent in every field, and P (+) Q is still never built
-        monkeypatch.setattr(rees, "_peels", lambda up, n, mask: False)
+        monkeypatch.setattr(rees, "_peels", lambda rows, n, mask: False)
         assert [r["consistent"] for r in _cm_reports(diamond, facts, [QQ, GF2])] == [False, False]
         assert rees_cm_report(diamond, ["a"], QQ)["consistent"] is False
         with warnings.catch_warnings():
@@ -216,8 +224,8 @@ class TestReport:
 
 
 class TestBeatPointPeel:
-    """_peels deletes Q* from P (+) Q as beat points; the order complexes of
-    P (+) Q and of P (+) Q - m* are the oracle."""
+    """_peels deletes Q* from the rows of P (+) Q as beat points; the order
+    complexes of the labelled P (+) Q and of P (+) Q - m* are the oracle."""
 
     def test_every_pair_class_up_to_six_elements(self):
         fields = [QQ, GF2]
@@ -229,41 +237,82 @@ class TestBeatPointPeel:
                 betti_p = [reduced_betti_numbers(order_complex(p), f) for f in fields]
                 unique_min = len(p.minimal_idx()) == 1
                 for qmask in _ideal_orbits(lt, gens):
+                    rows = _uplus_rows(lt, qmask)
                     up = _uplus_mask(p, qmask)
-                    full = (1 << len(up)) - 1
-                    assert rees._peels(up, n, full), (p, qmask)
+                    full = (1 << len(rows)) - 1
+                    assert rees._peels(rows, n, full), (p, qmask)
                     assert [reduced_betti_numbers(order_complex(up), f) for f in fields] == betti_p
                     if unique_min and qmask:
                         (least,) = up.minimal_idx()
-                        assert rees._peels(up, n, full & ~(1 << least)), (p, qmask)
+                        assert rees._peels(rows, n, full & ~(1 << least)), (p, qmask)
                         deleted = order_complex(up._restrict_idx([i for i in range(len(up)) if i != least]))
                         assert all(reduced_betti_numbers(deleted, f) == BettiVector({}) for f in fields)
                         stars += 1
                     classes += 1
         assert (classes, stars) == (4870, 708)
 
+    def test_starred_minimum_from_p(self, monkeypatch):
+        # _violations deletes m* at the index it reads off P and Q, with no
+        # pass over P (+) Q's rows; the labelled P (+) Q's one minimal
+        # element is the oracle, on all 708 pairs up to six elements where
+        # P has a unique minimum and Q is nonempty.  Each pair is also
+        # checked with its indices reversed, so that m is not P's first
+        # element and m* not the first star
+        deleted = []
+        real = rees._peels
+
+        def record(rows, n, mask):
+            full = (1 << len(rows)) - 1
+            if mask != full:
+                deleted.append(full & ~mask)
+            return real(rows, n, mask)
+
+        monkeypatch.setattr(rees, "_peels", record)
+        fields = [QQ, GF2]
+        pairs = Counter()
+        for n, level in zip(range(7), _poset_classes()):
+            labels = tuple(chr(ord("a") + i) for i in range(n))
+
+            def flip(mask):
+                return sum(1 << (n - 1 - i) for i in range(n) if (mask >> i) & 1)
+
+            for lt, _, gens in level:
+                for qmask in _ideal_orbits(lt, gens):
+                    for rows, q in ((lt, qmask), (tuple(flip(r) for r in reversed(lt)), flip(qmask))):
+                        p = Poset(labels, rows)
+                        deleted.clear()
+                        failure = next(_violations(p, _rees_facts(p, q), _field_data(p, fields)), None)
+                        assert failure is None, (p, q)
+                        if len(p.minimal_idx()) == 1 and q:
+                            (least,) = _uplus_mask(p, q).minimal_idx()
+                            assert deleted == [1 << least], (p, q)
+                            pairs[least > n] += 1
+                        else:
+                            assert deleted == [], (p, q)
+        assert sum(pairs.values()) == 2 * 708 and pairs[True] > 0
+
     def test_peel_keeps_what_is_not_a_beat_point(self):
         # c* < a and c* < b: the path a - c* - b is contractible, the antichain
         # {a, b} is not, so deleting c* would change the homology
         up = Poset(["a", "b", "c*"], [0, 0, 0b011])
-        assert not rees._peels(up, 2, 0b111)
+        assert not rees._peels(up.lt, 2, 0b111)
         betti = [reduced_betti_numbers(order_complex(x), QQ) for x in (up, antichain("a", "b"))]
         assert betti[0] != betti[1]
         # one upper cover: c* < a only
-        assert rees._peels(Poset(["a", "b", "c*"], [0, 0, 0b001]), 2, 0b111)
+        assert rees._peels(Poset(["a", "b", "c*"], [0, 0, 0b001]).lt, 2, 0b111)
         # a maximal starred element has no upper cover
-        assert not rees._peels(Poset(["a", "z*"], [0, 0]), 1, 0b11)
+        assert not rees._peels(Poset(["a", "z*"], [0, 0]).lt, 1, 0b11)
         # only starred elements are deleted: with d above a and b, deleting b,
         # a beat point of P, would leave c* the one upper cover a
-        assert not rees._peels(Poset(["a", "b", "d", "c*"], [0b100, 0b100, 0, 0b111]), 3, 0b1111)
+        assert not rees._peels(Poset(["a", "b", "d", "c*"], [0b100, 0b100, 0, 0b111]).lt, 3, 0b1111)
 
     def test_passes_repeat_while_they_delete(self):
         # a* < b*, indexed upwards: the first pass (highest index first)
         # deletes b* (upper cover b) and then a* (upper cover a); indexed the
         # other way round, a* waits for a second pass
-        assert rees._peels(_uplus_mask(chain("a", "b"), 0b11), 2, 0b1111)
+        assert rees._peels(_uplus_rows(chain("a", "b").lt, 0b11), 2, 0b1111)
         flipped = Poset(["a", "b", "b*", "a*"], [0b10, 0, 0b10, 0b111])
-        assert rees._peels(flipped, 2, 0b1111)
+        assert rees._peels(flipped.lt, 2, 0b1111)
 
 
 class TestRandomizedEquivalences:
@@ -276,6 +325,15 @@ class TestRandomizedEquivalences:
             assert euler_condition_Q(p, q) == euler_condition_interval(p, q)
             if q:
                 assert a_invariant_negative(p, q) == euler_condition_Q(p, q)
+            # Lemmas 6.5/6.6: Q* peels off the rows of P (+) Q, and, for P
+            # with unique minimum, off P (+) Q - m*
+            qmask = _ideal_mask(p, q)
+            rows = _uplus_rows(p.lt, qmask)
+            full = (1 << len(rows)) - 1
+            assert rees._peels(rows, n, full), (p, sorted(q))
+            if q and len(p.minimal_idx()) == 1:
+                (least,) = uplus(p, q).minimal_idx()
+                assert rees._peels(rows, n, full & ~(1 << least)), (p, sorted(q))
 
 
 class TestNumeratorOracle:
@@ -357,7 +415,7 @@ class TestReesFacts:
                 assert _polynomial(p, facts.qmask, facts.numerator) == g_dis_numerator_mu_top(p, q)
             else:
                 assert facts.numerator is None
-            assert facts.uplus == uplus(p, q)
+            assert facts.rows == uplus(p, q).lt
 
     def test_q_checked_at_public_entry(self):
         # _rees_facts trusts its mask; the public report checks Q first
@@ -365,6 +423,21 @@ class TestReesFacts:
             rees_cm_report(chain("a", "b"), ["b"], QQ)
         with pytest.raises(UnknownLabelError):
             rees_cm_report(chain("a", "b"), ["zz"], QQ)
+
+    def test_starred_label_rejected_after_q_check(self):
+        # P (+) Q names x* for each x in Q, so a label that carries the
+        # marker is refused, by the report as by uplus; a Q that is not an
+        # ideal is reported first
+        p = chain("a*", "b")
+        message = r"^label 'a\*' contains the reserved marker '\*'$"
+        for call in (lambda q: uplus(p, q), lambda q: rees_cm_report(p, q, QQ)):
+            for q in ([], ["a*"], ["a*", "b"]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DegenerateQWarning)
+                    with pytest.raises(ValueError, match=message):
+                        call(q)
+            with pytest.raises(NotAnIdealError):
+                call(["b"])
 
 
 class TestPosetRouteOracle:
@@ -383,7 +456,7 @@ class TestPosetRouteOracle:
                 cm_p = [is_cohen_macaulay_complex(delta, f) for f in fields]
                 for qmask in _ideal_orbits(lt, gens):
                     facts = _rees_facts(p, qmask)
-                    delta_up = order_complex(facts.uplus)
+                    delta_up = order_complex(uplus_of(p, facts))
                     for f, cm, report in zip(fields, cm_p, _cm_reports(p, facts, fields)):
                         assert report["cm_P"] == cm, (p, qmask, f)
                         assert report["cm_uplus"] == is_cohen_macaulay_complex(delta_up, f), (p, qmask, f)
@@ -402,8 +475,8 @@ class TestUplusRoute:
         ok = _uplus_cm(p, facts)
         return [cm_p and ok for _, cm_p in _field_data(p, self.fields)]
 
-    def oracle(self, facts):
-        return [is_cohen_macaulay_poset(facts.uplus, f) for f in self.fields]
+    def oracle(self, p, facts):
+        return [is_cohen_macaulay_poset(uplus_of(p, facts), f) for f in self.fields]
 
     def test_every_pair_class_up_to_six_elements(self):
         # P not Cohen-Macaulay included: there P (+) Q is not either
@@ -414,7 +487,7 @@ class TestUplusRoute:
                 p = Poset(labels, lt)
                 for qmask in _ideal_orbits(lt, gens):
                     facts = _rees_facts(p, qmask)
-                    assert self.route(p, facts) == self.oracle(facts), (p, qmask)
+                    assert self.route(p, facts) == self.oracle(p, facts), (p, qmask)
                     checks += len(self.fields)
         assert checks == 14610
 
@@ -426,9 +499,9 @@ class TestUplusRoute:
         p = antichain("a", "b")
         assert all(cm_p for _, cm_p in _field_data(p, self.fields))
         facts = _rees_facts(p, _ideal_mask(p, ["a"]))
-        assert reduced_betti_numbers(order_complex(facts.uplus), QQ) == BettiVector({0: 1})
+        assert reduced_betti_numbers(order_complex(uplus_of(p, facts)), QQ) == BettiVector({0: 1})
         assert not _uplus_cm(p, facts)
-        assert self.route(p, facts) == [False] * 3 == self.oracle(facts)
+        assert self.route(p, facts) == [False] * 3 == self.oracle(p, facts)
 
     def test_top_in_q_is_not_a_copy(self):
         # (-inf, a) of {a* < a} is the point a*, a cone; P's (-inf, a) is
@@ -437,7 +510,7 @@ class TestUplusRoute:
         p = chain("a")
         facts = _rees_facts(p, 0b1)
         assert _uplus_cm(p, facts)
-        assert self.route(p, facts) == [True] * 3 == self.oracle(facts)
+        assert self.route(p, facts) == [True] * 3 == self.oracle(p, facts)
 
     def test_fields_told_apart(self):
         # the face poset of the 6-vertex RP^2 is Cohen-Macaulay over QQ but
